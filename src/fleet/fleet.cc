@@ -1263,12 +1263,10 @@ FleetTestbed::collect()
     // served its request; orderly-closed spans outrank these.
     forEachGeneration([this](const Generation &g) {
         const ConnSpanLog &sl = g.machine->tracer().connSpans();
-        for (const ConnSpanTrace &tr : sl.completed())
-            if (tr.traceId != 0)
-                traceLog_.stitchMachineSpan(tr);
-        for (const ConnSpanTrace *tr : sl.liveSnapshot())
-            if (tr->traceId != 0)
-                traceLog_.stitchMachineSpan(*tr);
+        for (const ConnSpanRecord rec : sl.completed())
+            traceLog_.stitchMachineSpan(rec);
+        for (const ConnSpanRecord rec : sl.liveSnapshot())
+            traceLog_.stitchMachineSpan(rec);
     });
     fl.tracesStarted = traceLog_.clientStarts();
     fl.tracesCompleted = traceLog_.clientCompleted();

@@ -74,6 +74,10 @@ Testbed::Testbed(const ExperimentConfig &cfg)
     if (cfg_.lossRate > 0.0)
         wire_->setLossRate(cfg_.lossRate, cfg_.machine.seed ^ 0x10ad);
     machine_ = std::make_unique<Machine>(*eq_, *wire_, cfg_.machine);
+    if (cfg_.keepSpanTraces && cfg_.machine.traceEnabled) {
+        spanRecorder_ = std::make_unique<ConnSpanRecorder>();
+        machine_->tracer().connSpans().setTap(spanRecorder_.get());
+    }
 
     if (cfg_.app == AppKind::kHaproxy) {
         IpAddr bfirst = 0x0a010001;   // 10.1.0.1
@@ -290,6 +294,7 @@ Testbed::markWindows()
     activeTotalMark_ = ks.activePktTotal;
     failedMark_ = load_->failed();
     spanCompletedMark_ = machine_->tracer().connSpans().completedCount();
+    rawSpanMark_ = spanRecorder_ ? spanRecorder_->completed().size() : 0;
     eventsRunMark_ = eq_->executed();
     eventsScheduledMark_ = eq_->scheduled();
     markTick_ = eq_->now();
@@ -376,9 +381,9 @@ Testbed::collect()
     // traces when the caller wants to export them (Perfetto).
     const ConnSpanLog &sl = tr.connSpans();
     r.spanForensics = buildSpanForensics(sl, spanCompletedMark_);
-    if (cfg_.keepSpanTraces && sl.enabled()) {
-        const auto &all = sl.completed();
-        std::size_t from = std::min(spanCompletedMark_, all.size());
+    if (spanRecorder_) {
+        const auto &all = spanRecorder_->completed();
+        std::size_t from = std::min(rawSpanMark_, all.size());
         r.spanTraces =
             std::make_shared<const std::vector<ConnSpanTrace>>(
                 all.begin() + static_cast<std::ptrdiff_t>(from),

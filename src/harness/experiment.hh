@@ -133,9 +133,11 @@ struct ExperimentConfig
 
     /** @name Span tracing (src/trace conn spans) */
     /** @{ */
-    /** Copy the window's completed per-connection span traces into the
-     *  result (needed by the Perfetto exporter; forensics alone do
-     *  not). Meaningless when machine.traceEnabled is off. */
+    /** Keep raw per-connection span vectors and copy the window's
+     *  completed traces into the result (needed by the Perfetto
+     *  exporter; forensics read the folded records and do not). This
+     *  is the only path that retains individual spans. Meaningless
+     *  when machine.traceEnabled is off. */
     bool keepSpanTraces = false;
     /** @} */
 };
@@ -498,6 +500,9 @@ class Testbed
 
   private:
     ExperimentConfig cfg_;
+    /** Raw-span tap (cfg.keepSpanTraces only); declared before the
+     *  machine so it outlives the log that points at it. */
+    std::unique_ptr<ConnSpanRecorder> spanRecorder_;
     std::unique_ptr<EventQueue> eq_;
     std::unique_ptr<Wire> wire_;
     std::unique_ptr<Machine> machine_;
@@ -521,6 +526,7 @@ class Testbed
     std::uint64_t activeLocalMark_ = 0;
     std::uint64_t activeTotalMark_ = 0;
     std::size_t spanCompletedMark_ = 0;
+    std::size_t rawSpanMark_ = 0;
     std::uint64_t eventsRunMark_ = 0;
     std::uint64_t eventsScheduledMark_ = 0;
     Tick markTick_ = 0;

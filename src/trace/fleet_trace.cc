@@ -77,11 +77,11 @@ FleetTraceLog::lbForward(std::uint64_t trace_id)
 }
 
 void
-FleetTraceLog::stitchMachineSpan(const ConnSpanTrace &span)
+FleetTraceLog::stitchMachineSpan(const ConnSpanRecord &span)
 {
-    if (!enabled_ || span.traceId == 0)
+    if (!enabled_ || span.traceId() == 0)
         return;
-    FleetTrace *tr = find(span.traceId);
+    FleetTrace *tr = find(span.traceId());
     if (!tr)
         return;
     const Tick service = span.serviceLatency();
@@ -90,26 +90,22 @@ FleetTraceLog::stitchMachineSpan(const ConnSpanTrace &span)
         // plus the span that actually served; prefer an orderly close
         // over a crash-finalized span, then the larger service latency
         // — deterministically the serving one.
-        if (tr->serverOrderly && !span.closed)
+        if (tr->serverOrderly && !span.closed())
             return;
-        if (tr->serverOrderly == span.closed &&
+        if (tr->serverOrderly == span.closed() &&
             (service < tr->serverService ||
              (service == tr->serverService &&
-              span.openTick >= tr->serverOpen)))
+              span.openTick() >= tr->serverOpen)))
             return;
     } else {
         ++stitched_;
     }
     tr->stitched = true;
-    tr->serverOrderly = span.closed;
-    tr->serverOpen = span.openTick;
-    tr->serverClose = span.closeTick;
+    tr->serverOrderly = span.closed();
+    tr->serverOpen = span.openTick();
+    tr->serverClose = span.closeTick();
     tr->serverService = service;
-    Tick exec = 0;
-    for (const ConnSpan &sp : span.spans)
-        if (connStageKind(sp.stage) == ConnStageKind::kExec)
-            exec += sp.end - sp.begin;
-    tr->serverExec = exec;
+    tr->serverExec = span.execTicks();
 }
 
 std::uint64_t

@@ -59,7 +59,7 @@ struct FleetTrace
     bool serverOrderly = false; //!< span closed via TCB destruction
     Tick serverOpen = 0;        //!< TCB mint (SYN rx)
     Tick serverClose = 0;       //!< TCB destruction
-    Tick serverService = 0;     //!< ConnSpanTrace::serviceLatency
+    Tick serverService = 0;     //!< ConnSpanRecord::serviceLatency
     Tick serverExec = 0;        //!< sum of exec-stage spans
     /** @} */
 
@@ -73,7 +73,7 @@ struct FleetTrace
  * Fleet-scope trace collector, owned by FleetTestbed. The client and
  * the balancers push hop records as they happen; the testbed stitches
  * machine-side spans in at collect time (matching on
- * ConnSpanTrace::traceId).
+ * ConnSpanRecord::traceId).
  */
 class FleetTraceLog
 {
@@ -103,7 +103,7 @@ class FleetTraceLog
      * machine plus the one that actually served), the span with the
      * larger service latency wins — deterministically the serving one.
      */
-    void stitchMachineSpan(const ConnSpanTrace &tr);
+    void stitchMachineSpan(const ConnSpanRecord &span);
 
     /** @name Accounting (all deterministic) */
     /** @{ */

@@ -10,35 +10,54 @@ namespace fsim
 namespace
 {
 
-Tick
-percentileOf(const std::vector<Tick> &sorted, double p)
+/** Index of percentile @p p among @p n ascending values. */
+std::size_t
+percentileRank(std::size_t n, double p)
 {
-    if (sorted.empty())
-        return 0;
-    const double pos = p * static_cast<double>(sorted.size() - 1);
-    return sorted[static_cast<std::size_t>(pos + 0.5)];
+    const double pos = p * static_cast<double>(n - 1);
+    return static_cast<std::size_t>(pos + 0.5);
+}
+
+/**
+ * Stage percentiles of @p v (non-empty, reordered in place). Each
+ * nth_element only searches above the previous rank, so the picks cost
+ * about one partition pass instead of a full sort.
+ */
+void
+fillPercentiles(std::vector<Tick> &v, StagePercentiles &sp)
+{
+    const std::size_t n = v.size();
+    Tick *const picks[] = {&sp.p50, &sp.p90, &sp.p99, &sp.p999, &sp.max};
+    const double ps[] = {0.50, 0.90, 0.99, 0.999, 1.0};
+    auto lo = v.begin();
+    for (int i = 0; i < 5; ++i) {
+        const auto at = v.begin() +
+                        static_cast<std::ptrdiff_t>(percentileRank(n, ps[i]));
+        std::nth_element(lo, at, v.end());
+        *picks[i] = *at;
+        lo = at;
+    }
+    sp.count = n;
+    for (Tick t : v)
+        sp.totalTicks += t;
 }
 
 ExemplarBreakdown
-breakdownOf(const ConnSpanTrace &tr, const char *percentile)
+breakdownOf(ConnSpanRecord rec, const char *percentile)
 {
     ExemplarBreakdown ex;
     ex.percentile = percentile;
-    ex.connId = tr.connId;
-    ex.latency = tr.serviceLatency();
+    ex.connId = rec.connId();
+    ex.latency = rec.serviceLatency();
     ex.stageTicks.assign(kNumConnStages, 0);
     ex.stageCounts.assign(kNumConnStages, 0);
-    for (const ConnSpan &sp : tr.spans) {
-        const int idx = static_cast<int>(sp.stage);
-        ex.stageTicks[idx] += sp.end - sp.begin;
-        ++ex.stageCounts[idx];
-        if (connStageKind(sp.stage) != ConnStageKind::kWait &&
-            sp.core >= 0 &&
-            std::find(ex.cores.begin(), ex.cores.end(),
-                      static_cast<int>(sp.core)) == ex.cores.end())
-            ex.cores.push_back(sp.core);
+    for (int s = 0; s < kNumConnStages; ++s) {
+        ex.stageTicks[s] = rec.stageTicks(static_cast<ConnStage>(s));
+        ex.stageCounts[s] = rec.stageCount(static_cast<ConnStage>(s));
     }
-    std::sort(ex.cores.begin(), ex.cores.end());
+    for (int c = 0; c < ConnSpanLog::kMaxCores; ++c)
+        if ((rec.coreMask() >> c) & 1)
+            ex.cores.push_back(c);
     // Attributable time = exec + wait stage totals; sub-stages (lock
     // spin, VFS) live inside exec spans and would double-count.
     Tick covered = 0;
@@ -49,6 +68,25 @@ breakdownOf(const ConnSpanTrace &tr, const char *percentile)
     ex.unattributed = ex.latency > covered ? ex.latency - covered : 0;
     return ex;
 }
+
+/** Exemplar ranking entry: the key is stored, never dereferenced. */
+struct Ranked
+{
+    Tick latency;
+    std::uint64_t connId;
+    std::uint64_t ordinal;  //!< completion order: last-resort tie-break
+    const std::uint64_t *record;
+
+    bool
+    operator<(const Ranked &o) const
+    {
+        if (latency != o.latency)
+            return latency < o.latency;
+        if (connId != o.connId)
+            return connId < o.connId;
+        return ordinal < o.ordinal;
+    }
+};
 
 } // namespace
 
@@ -64,71 +102,68 @@ buildSpanForensics(const ConnSpanLog &log, std::size_t from_idx)
     if (!f.enabled)
         return f;
 
-    const std::vector<ConnSpanTrace> &all = log.completed();
-    if (from_idx > all.size())
-        from_idx = all.size();
-    const std::size_t n = all.size() - from_idx;
-    f.completed = n;
+    const SpanRecordArena &all = log.completed();
+    from_idx = std::min(from_idx, all.size());
+    auto first = all.begin();
+    for (std::size_t i = 0; i < from_idx; ++i)
+        ++first;
+    f.completed = all.size() - from_idx;
 
-    // Per-stage distributions over the window's completed connections.
-    std::vector<std::vector<Tick>> per_stage(kNumConnStages);
-    for (std::size_t i = from_idx; i < all.size(); ++i) {
-        const ConnSpanTrace &tr = all[i];
-        if (tr.shedReason != ConnSpanTrace::kNotShed)
+    // One pass for the counters and the stages any connection saw.
+    std::uint16_t seenAny = 0;
+    std::size_t passive = 0;
+    for (auto it = first; it != all.end(); ++it) {
+        const ConnSpanRecord rec = *it;
+        if (rec.shedReason() != ConnSpanTrace::kNotShed)
             ++f.shed;
-        Tick totals[kNumConnStages] = {};
-        bool seen[kNumConnStages] = {};
-        for (const ConnSpan &sp : tr.spans) {
-            const int idx = static_cast<int>(sp.stage);
-            totals[idx] += sp.end - sp.begin;
-            seen[idx] = true;
-        }
-        for (int s = 0; s < kNumConnStages; ++s)
-            if (seen[s])
-                per_stage[s].push_back(totals[s]);
+        passive += rec.passive();
+        seenAny |= rec.stageMask();
     }
+
+    // Per-stage distributions over the window's completed connections,
+    // one reused scratch vector at a time.
+    std::vector<Tick> scratch;
+    scratch.reserve(f.completed);
     for (int s = 0; s < kNumConnStages; ++s) {
-        std::vector<Tick> &v = per_stage[s];
-        if (v.empty())
+        if (!((seenAny >> s) & 1))
             continue;
-        std::sort(v.begin(), v.end());
+        const auto stage = static_cast<ConnStage>(s);
+        scratch.clear();
+        for (auto it = first; it != all.end(); ++it) {
+            const ConnSpanRecord rec = *it;
+            if ((rec.stageMask() >> s) & 1)
+                scratch.push_back(rec.stageTicks(stage));
+        }
         StagePercentiles sp;
-        sp.stage = static_cast<ConnStage>(s);
-        sp.count = v.size();
-        sp.p50 = percentileOf(v, 0.50);
-        sp.p90 = percentileOf(v, 0.90);
-        sp.p99 = percentileOf(v, 0.99);
-        sp.p999 = percentileOf(v, 0.999);
-        sp.max = v.back();
-        for (Tick t : v)
-            sp.totalTicks += t;
+        sp.stage = stage;
+        fillPercentiles(scratch, sp);
         f.stages.push_back(sp);
     }
+    std::vector<Tick>().swap(scratch);
 
-    // Exemplars: rank passive connections by service latency with a
-    // (latency, connId) sort so equal latencies pick deterministically.
-    std::vector<std::pair<Tick, const ConnSpanTrace *>> ranked;
-    ranked.reserve(n);
-    for (std::size_t i = from_idx; i < all.size(); ++i)
-        if (all[i].passive)
-            ranked.emplace_back(all[i].serviceLatency(), &all[i]);
-    if (ranked.empty())
-        for (std::size_t i = from_idx; i < all.size(); ++i)
-            ranked.emplace_back(all[i].serviceLatency(), &all[i]);
-    std::sort(ranked.begin(), ranked.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.first != b.first)
-                      return a.first < b.first;
-                  return a.second->connId < b.second->connId;
-              });
+    // Exemplars: rank passive connections (all of them when none are
+    // passive) by (latency, connId) so equal latencies pick
+    // deterministically.
+    std::vector<Ranked> ranked;
+    ranked.reserve(passive ? passive : f.completed);
+    std::uint64_t ordinal = 0;
+    for (auto it = first; it != all.end(); ++it, ++ordinal) {
+        const ConnSpanRecord rec = *it;
+        if (!passive || rec.passive())
+            ranked.push_back({rec.serviceLatency(), rec.connId(), ordinal,
+                              rec.data()});
+    }
     if (!ranked.empty()) {
-        const auto pick = [&](double p) -> const ConnSpanTrace * {
-            const double pos = p * static_cast<double>(ranked.size() - 1);
-            return ranked[static_cast<std::size_t>(pos + 0.5)].second;
+        const auto pick = [&](double p) {
+            const auto at =
+                ranked.begin() +
+                static_cast<std::ptrdiff_t>(percentileRank(ranked.size(), p));
+            std::nth_element(ranked.begin(), at, ranked.end());
+            return ConnSpanRecord(at->record);
         };
-        f.exemplars.push_back(breakdownOf(*pick(0.50), "p50"));
-        f.exemplars.push_back(breakdownOf(*pick(0.99), "p99"));
-        f.exemplars.push_back(breakdownOf(*pick(0.999), "p999"));
+        f.exemplars.push_back(breakdownOf(pick(0.50), "p50"));
+        f.exemplars.push_back(breakdownOf(pick(0.99), "p99"));
+        f.exemplars.push_back(breakdownOf(pick(0.999), "p999"));
 
         const ExemplarBreakdown &p99 = f.exemplars[1];
         Tick best = 0;

@@ -6,7 +6,8 @@
  * hot path; when full it overwrites the oldest event (ftrace's default
  * overwrite mode), so the ring always holds the most recent window of
  * activity. Total pushes are counted, so the number of overwritten
- * events is always recoverable.
+ * events is always recoverable. Capacity is a power of two so every
+ * push indexes with a mask instead of a division.
  */
 
 #ifndef FSIM_TRACE_TRACE_RING_HH
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "trace/trace_event.hh"
 
 namespace fsim
@@ -26,15 +28,21 @@ class TraceRing
 {
   public:
     explicit TraceRing(std::size_t capacity)
-        : buf_(capacity)
+        : buf_(capacity), mask_(capacity - 1)
     {
+        if (capacity == 0 || (capacity & (capacity - 1)) != 0)
+            fsim_fatal(
+                "TraceRing: capacity=%zu is not a power of two: every "
+                "trace emit indexes the ring with a mask. Round "
+                "machine.traceRingCapacity up to a power of two.",
+                capacity);
     }
 
     /** Record @p ev, overwriting the oldest event when full. */
     void
     push(const TraceEvent &ev)
     {
-        buf_[pushed_ % buf_.size()] = ev;
+        buf_[pushed_ & mask_] = ev;
         ++pushed_;
     }
 
@@ -59,7 +67,7 @@ class TraceRing
     at(std::size_t i) const
     {
         std::uint64_t oldest = pushed_ - size();
-        return buf_[(oldest + i) % buf_.size()];
+        return buf_[(oldest + i) & mask_];
     }
 
     void
@@ -70,6 +78,7 @@ class TraceRing
 
   private:
     std::vector<TraceEvent> buf_;
+    std::uint64_t mask_;
     std::uint64_t pushed_ = 0;
 };
 

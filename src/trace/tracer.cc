@@ -8,7 +8,11 @@ namespace fsim
 Tracer::Tracer(int n_cores, std::size_t ring_capacity)
     : phases_(n_cores)
 {
-    fsim_assert(n_cores > 0 && ring_capacity > 0);
+    fsim_assert(n_cores > 0);
+    if (n_cores > ConnSpanLog::kMaxCores)
+        fsim_fatal("Tracer: %d cores exceed the %d a connection span "
+                   "record's core set can name.",
+                   n_cores, ConnSpanLog::kMaxCores);
     rings_.reserve(n_cores);
     for (int c = 0; c < n_cores; ++c)
         rings_.emplace_back(ring_capacity);

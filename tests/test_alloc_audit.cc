@@ -17,6 +17,9 @@
  *     load) must likewise run allocation-free between checkpoints once
  *     warmed up: connection churn recycles TCB slabs, timer nodes,
  *     event nodes and ring capacity instead of allocating.
+ *
+ *  3. With tracing on, the same run may allocate only the span log's
+ *     record-arena chunks: no per-connection or per-span heap traffic.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +33,7 @@
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "timerwheel/timer_wheel.hh"
+#include "trace/conn_span.hh"
 
 // ---------------------------------------------------------------------
 // Global counting allocator hook. Forwarding to malloc keeps ASan's
@@ -265,6 +269,53 @@ TEST(AllocAudit, NotraceNginxSteadyStateIsAllocationFree)
     EXPECT_EQ(audited, 0u)
         << "steady-state nginx allocated on the hot path; see "
            "sim/event_fn.hh capture budgets and the slab free lists";
+}
+
+TEST(AllocAudit, TracedNginxSpanLogAllocatesOnlyArenaChunks)
+{
+    // The traced counterpart of the --notrace audit: with the span log
+    // on, a connection's lifetime (open, every stage span, close) must
+    // touch the heap zero times once the live slab and id index have
+    // reached their high-water marks. The only allocations left are
+    // whole 64 KiB record-arena chunks, at most one per chunk's worth
+    // of completed connections.
+    ExperimentConfig cfg;
+    cfg.app = AppKind::kNginx;
+    cfg.machine.cores = 2;
+    cfg.machine.seed = 1234;
+    cfg.checkLevel = CheckLevel::kOff;
+    cfg.warmupSec = 0.0;
+    cfg.measureSec = 0.0;
+    cfg.concurrencyPerCore = 50;
+
+    Testbed bed(cfg);
+    bed.startLoad();
+    bed.runUntilChecked(ticksFromSeconds(0.3));
+
+    const ConnSpanLog &log = bed.machine().tracer().connSpans();
+    const std::uint64_t logAllocsBefore = log.allocations();
+    const std::size_t chunksBefore = log.completed().chunks();
+    const std::size_t recordsBefore = log.completedCount();
+    std::uint64_t audited;
+    {
+        AllocAuditScope scope;
+        bed.runUntilChecked(ticksFromSeconds(0.5));
+        audited = AllocAudit::disarm();
+    }
+    const std::size_t records = log.completedCount() - recordsBefore;
+    const std::size_t chunks = log.completed().chunks() - chunksBefore;
+    EXPECT_GT(records, 500u);
+    // Every allocation the log made in the window was an arena chunk...
+    EXPECT_EQ(log.allocations() - logAllocsBefore, chunks);
+    // ...bounded by the records it had to hold (a record never spans
+    // two chunks, so each chunk holds at least this many)...
+    const std::size_t perChunk =
+        SpanRecordArena::kChunkWords / ConnSpanRecord::kMaxWords;
+    EXPECT_LE(chunks, (records + perChunk - 1) / perChunk);
+    // ...and nothing else in the traced simulation allocated at all.
+    if (audited != chunks) dumpHist("traced nginx");
+    EXPECT_EQ(audited, chunks)
+        << "traced steady-state nginx allocated beyond arena chunks";
 }
 
 } // namespace

@@ -43,13 +43,16 @@ TEST(ConnSpanLog, RecordsLifecycleAndLatency)
 
     ASSERT_EQ(log.completedCount(), 1u);
     EXPECT_EQ(log.liveCount(), 0u);
-    const ConnSpanTrace &tr = log.completed().front();
-    EXPECT_EQ(tr.connId, 7u);
-    EXPECT_TRUE(tr.closed);
-    EXPECT_TRUE(tr.passive);
-    EXPECT_EQ(tr.openTick, 100u);
-    EXPECT_EQ(tr.closeTick, 600u);
+    const ConnSpanRecord tr = *log.completed().begin();
+    EXPECT_EQ(tr.connId(), 7u);
+    EXPECT_TRUE(tr.closed());
+    EXPECT_TRUE(tr.passive());
+    EXPECT_EQ(tr.openTick(), 100u);
+    EXPECT_EQ(tr.closeTick(), 600u);
     EXPECT_EQ(tr.stageTicks(ConnStage::kAcceptQueue), 160u);
+    EXPECT_EQ(tr.stageCount(ConnStage::kAccept), 1u);
+    EXPECT_EQ(tr.stageCount(ConnStage::kDispatch), 0u);
+    EXPECT_EQ(tr.coreMask(), 0x3u);
     // Latency runs to the end of the last write, not to destruction.
     EXPECT_EQ(tr.serviceLatency(), 470u - 100u);
     // Spans on unknown ids (already destroyed) are silently ignored.
@@ -83,7 +86,7 @@ TEST(ConnSpanLog, PerConnSpanCapCountsDrops)
     }
     EXPECT_EQ(log.spansDropped(), extra);
     log.close(1, 10000);
-    EXPECT_EQ(log.completed().front().spans.size(),
+    EXPECT_EQ((*log.completed().begin()).stageCount(ConnStage::kSoftirqRx),
               ConnSpanLog::kMaxSpansPerConn);
     // Exec accounting still covers the dropped spans: the core ran them
     // whether or not the per-connection vector kept them.
@@ -94,7 +97,9 @@ TEST(ConnSpanLog, PerConnSpanCapCountsDrops)
 TEST(ConnSpanTest, LifecycleConservation)
 {
     ExperimentConfig cfg = smallConfig();
+    ConnSpanRecorder raw;   // outlives the log it taps
     Testbed bed(cfg);
+    bed.machine().tracer().connSpans().setTap(&raw);
     bed.run();
 
     const ConnSpanLog &log = bed.machine().tracer().connSpans();
@@ -103,8 +108,12 @@ TEST(ConnSpanTest, LifecycleConservation)
     EXPECT_EQ(log.closedTotal(),
               log.completedCount() + log.tracesDropped());
     EXPECT_GT(log.completedCount(), 0u);
+    ASSERT_EQ(raw.completed().size(), log.completedCount());
 
-    for (const ConnSpanTrace &tr : log.completed()) {
+    // The folded records and the raw spans describe the same
+    // connections, in the same completion order.
+    auto rec = log.completed().begin();
+    for (const ConnSpanTrace &tr : raw.completed()) {
         EXPECT_TRUE(tr.closed);
         EXPECT_GE(tr.closeTick, tr.openTick);
         for (const ConnSpan &sp : tr.spans) {
@@ -112,18 +121,43 @@ TEST(ConnSpanTest, LifecycleConservation)
             EXPECT_GE(sp.begin, tr.openTick);
             EXPECT_LE(sp.end, tr.closeTick);
         }
+        EXPECT_EQ((*rec).connId(), tr.connId);
+        EXPECT_TRUE((*rec).closed());
+        EXPECT_EQ((*rec).closeTick(), tr.closeTick);
+        EXPECT_EQ((*rec).serviceLatency(), tr.serviceLatency());
+        ++rec;
     }
 }
 
-TEST(ConnSpanTest, AcceptQueueSojournSpansMatchDequeue)
+TEST(ConnSpanTest, FoldedRecordsStayCompact)
 {
+    // A short nginx connection folds its ~12 spans into one record of
+    // at most 128 B (vs ~460 B of raw spans plus trace header).
     ExperimentConfig cfg = smallConfig();
     Testbed bed(cfg);
     bed.run();
 
     const ConnSpanLog &log = bed.machine().tracer().connSpans();
+    ASSERT_GT(log.completedCount(), 0u);
+    std::size_t words = 0;
+    for (ConnSpanRecord rec : log.completed()) {
+        EXPECT_LE(rec.words(), ConnSpanRecord::kMaxWords);
+        words += rec.words();
+    }
+    EXPECT_LE(8 * words, 128 * log.completedCount());
+    EXPECT_GT(log.spansRecorded(), 8 * log.opened());
+}
+
+TEST(ConnSpanTest, AcceptQueueSojournSpansMatchDequeue)
+{
+    ExperimentConfig cfg = smallConfig();
+    ConnSpanRecorder raw;   // outlives the log it taps
+    Testbed bed(cfg);
+    bed.machine().tracer().connSpans().setTap(&raw);
+    bed.run();
+
     std::size_t checked = 0;
-    for (const ConnSpanTrace &tr : log.completed()) {
+    for (const ConnSpanTrace &tr : raw.completed()) {
         if (!tr.passive)
             continue;
         const ConnSpan *queue = nullptr;

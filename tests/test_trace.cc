@@ -63,6 +63,18 @@ TEST(TraceRing, OverwritesOldestWhenFull)
     EXPECT_EQ(ring.overwritten(), 0u);
 }
 
+TEST(TraceRingDeath, CapacityMustBePowerOfTwo)
+{
+    // Emits index the ring with a mask, so a capacity that is not a
+    // power of two is a configuration error, not a slow path.
+    EXPECT_DEATH({ TraceRing ring(1000); (void)ring; }, "power of two");
+    EXPECT_DEATH({ TraceRing ring(0); (void)ring; }, "power of two");
+    EXPECT_DEATH({ Tracer tr(2, 6000); (void)tr; }, "power of two");
+    // A span record's core set is one 64-bit mask.
+    EXPECT_DEATH({ Tracer tr(ConnSpanLog::kMaxCores + 1); (void)tr; },
+                 "cores exceed");
+}
+
 /** Folded map keyed by decoded stack string, for readable asserts. */
 std::map<std::string, std::uint64_t>
 decodedFolded(const PhaseSnapshot &s)
