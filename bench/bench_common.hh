@@ -287,9 +287,9 @@ finishJson(const BenchArgs &args, const BenchJsonReport &report)
     }
     if (args.forensics) {
         for (std::size_t i = 0; i < report.rowCount(); ++i) {
-            // Fleet rows print the end-to-end critical-path breakdown
-            // instead of the single-machine stage table (which a
-            // FleetTestbed collect does not populate).
+            // Rows behind a balancer tier print the end-to-end
+            // critical-path breakdown instead of the per-machine stage
+            // table (which collect() fills only for the fleet of one).
             if (report.rowResult(i).fleetTrace.enabled)
                 std::printf("%s", renderFleetTraceReport(
                     report.rowResult(i).fleetTrace,

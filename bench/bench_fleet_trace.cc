@@ -41,7 +41,7 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "fleet/fleet.hh"
+#include "harness/experiment.hh"
 #include "sim/logging.hh"
 
 namespace

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "fault/fault_plan.hh"
-#include "fleet/fleet.hh"
 #include "harness/calibration.hh"
 #include "sim/logging.hh"
 
@@ -600,130 +599,96 @@ struct OneRun
     InvariantReport invariants;
 };
 
-/** Drive @p bed until the bounded load drains or the sim-time cap. */
-template <typename Bed>
-bool
-driveUntilDrained(Bed &bed, const Scenario &s)
+OneRun
+runOnce(const Scenario &s)
 {
+    // fleetMachines == 0 is the classic single machine: a fleet of one
+    // with no balancer tier.
+    const bool tiered = s.fleetMachines > 0;
+    FleetConfig fc;
+    fc.base = s.toConfig();
+    fc.serverMachines = tiered ? s.fleetMachines : 1;
+    fc.balancers = tiered ? s.fleetBalancers : 0;
+    bool ok = L4Balancer::policyFromName(s.fleetPolicy, fc.policy);
+    fsim_assert(ok);   // validity was enforced at parse time
+    fc.sloEnabled = s.sloMetrics;
+    // Long-lived think pauses must stay well inside the balancer's
+    // idle-flow GC horizon or mid-conversation flows get retired.
+    fc.flowIdleTimeoutMsec = std::max(
+        fc.flowIdleTimeoutMsec, 4.0 * s.longLivedThinkMsec + 100.0);
+    FleetTestbed bed(fc);
+    OneRun r;
+
+    // Leak checks are only meaningful when every client connection runs
+    // to a clean close and the event queue can drain: under injected
+    // loss, abandoned handshakes legitimately strand server-side TCBs
+    // until their (long) keepalive horizon, which is model behavior,
+    // not a leak; behind a balancer tier, probe and flow-GC timers
+    // self-reschedule forever (runAll would never return), and a
+    // crashed generation legitimately strands its server TCBs.
+    InvariantRegistry quiesce;
+    if (!tiered && s.lossRate == 0.0 && s.faultPlan.empty())
+        registerQuiesceInvariants(quiesce, bed.machine(), bed.load());
+
+    // Chunked drive loop. When the observability layer is armed every
+    // chunk boundary also feeds the SLO tracker and samples the metrics
+    // registry — the fuzzer's own sub-window clock, since run() is
+    // bypassed here.
     EventQueue &eq = bed.eventQueue();
     HttpLoad &load = bed.load();
     const Tick cap = ticksFromSeconds(s.maxSimSec);
     const Tick chunk = ticksFromSeconds(0.01);
     bed.startLoad();
     while (eq.now() < cap &&
-           (load.inFlight() > 0 || load.started() < s.maxConns))
+           (load.inFlight() > 0 || load.started() < s.maxConns)) {
+        const Tick wstart = eq.now();
         bed.runUntilChecked(std::min(cap, eq.now() + chunk));
-    return load.inFlight() == 0 && load.started() >= s.maxConns;
-}
-
-OneRun
-runOnce(const Scenario &s)
-{
-    ExperimentConfig cfg = s.toConfig();
-    OneRun r;
-
-    if (s.fleetMachines > 0) {
-        FleetConfig fc;
-        fc.base = cfg;
-        fc.serverMachines = s.fleetMachines;
-        fc.balancers = s.fleetBalancers;
-        bool ok = L4Balancer::policyFromName(s.fleetPolicy, fc.policy);
-        fsim_assert(ok);   // validity was enforced at parse time
-        fc.sloEnabled = s.sloMetrics;
-        // Long-lived think pauses must stay well inside the balancer's
-        // idle-flow GC horizon or mid-conversation flows get retired.
-        fc.flowIdleTimeoutMsec = std::max(
-            fc.flowIdleTimeoutMsec, 4.0 * s.longLivedThinkMsec + 100.0);
-        FleetTestbed bed(fc);
-        {
-            // Fleet drive loop: same chunked cadence as
-            // driveUntilDrained, but when the observability layer is
-            // armed every chunk boundary also feeds the SLO tracker
-            // and samples the metrics registry — the fuzzer's own
-            // sub-window clock, since run() is bypassed here.
-            EventQueue &eq = bed.eventQueue();
-            HttpLoad &load = bed.load();
-            const Tick cap = ticksFromSeconds(s.maxSimSec);
-            const Tick chunk = ticksFromSeconds(0.01);
-            bed.startLoad();
-            while (eq.now() < cap &&
-                   (load.inFlight() > 0 || load.started() < s.maxConns)) {
-                const Tick wstart = eq.now();
-                bed.runUntilChecked(std::min(cap, eq.now() + chunk));
-                if (s.sloMetrics)
-                    bed.sampleObservability(wstart, eq.now());
-            }
-            r.drained =
-                load.inFlight() == 0 && load.started() >= s.maxConns;
-        }
-        // No quiesce leak pass on the fleet: probe and flow-GC timers
-        // self-reschedule forever (runAll would never return), and a
-        // crashed generation legitimately strands its server TCBs.
-        bed.checks().runAll(bed.eventQueue().now());
-        if (cfg.machine.traceEnabled) {
-            // Stitching invariant: collect() reconciles every machine
-            // span against the client-minted trace ids. After a full
-            // drain no successful request may be missing its server
-            // span, no id may be born twice, and no span may disagree
-            // with its balancer flow's byte accounting.
-            ExperimentResult fr = bed.collect();
-            const FleetTraceLog &log = bed.traceLog();
-            InvariantRegistry stitch;
-            stitch.add("trace-stitch-lossless",
-                       [&](Tick, std::string &why) {
-                           std::uint64_t unstitched = 0;
-                           for (const auto &kv : log.records())
-                               if (kv.second.clientDone && kv.second.ok &&
-                                   !kv.second.stitched)
-                                   ++unstitched;
-                           if (fr.fleet.traceOrphans == 0 &&
-                               fr.fleet.traceDuplicates == 0 &&
-                               unstitched == 0)
-                               return true;
-                           why = "orphans=" +
-                                 std::to_string(fr.fleet.traceOrphans) +
-                                 " duplicates=" +
-                                 std::to_string(fr.fleet.traceDuplicates) +
-                                 " unstitched-ok=" +
-                                 std::to_string(unstitched);
-                           return false;
-                       });
-            stitch.add("trace-span-reconcile",
-                       [&](Tick, std::string &why) {
-                           if (fr.fleet.spanReconcileViolations == 0)
-                               return true;
-                           why = "span reconcile violations=" +
-                                 std::to_string(
-                                     fr.fleet.spanReconcileViolations);
-                           return false;
-                       });
-            stitch.runAll(bed.eventQueue().now());
-            r.invariants = stitch.report();
-        }
-        r.fingerprint = bed.currentFingerprint();
-        r.invariants.merge(bed.checks().report());
-        return r;
+        if (s.sloMetrics)
+            bed.sampleObservability(wstart, eq.now());
     }
-
-    Testbed bed(cfg);
-
-    // Leak checks are only meaningful when every client connection runs
-    // to a clean close: under injected loss, abandoned handshakes
-    // legitimately strand server-side TCBs until their (long) keepalive
-    // horizon, which is model behavior, not a leak.
-    InvariantRegistry quiesce;
-    if (s.lossRate == 0.0 && s.faultPlan.empty())
-        registerQuiesceInvariants(quiesce, bed.machine(), bed.load());
-
-    EventQueue &eq = bed.eventQueue();
-    r.drained = driveUntilDrained(bed, s);
-    if (r.drained) {
+    r.drained = load.inFlight() == 0 && load.started() >= s.maxConns;
+    if (r.drained && !tiered) {
         eq.runAll();
         quiesce.runAll(eq.now());
     }
     bed.checks().runAll(eq.now());
+
+    if (tiered && fc.base.machine.traceEnabled) {
+        // Stitching invariant: collect() reconciles every machine span
+        // against the client-minted trace ids. After a full drain no
+        // successful request may be missing its server span, no id may
+        // be born twice, and no span may disagree with its balancer
+        // flow's byte accounting.
+        ExperimentResult fr = bed.collect();
+        const FleetTraceLog &log = bed.traceLog();
+        InvariantRegistry stitch;
+        stitch.add("trace-stitch-lossless", [&](Tick, std::string &why) {
+            std::uint64_t unstitched = 0;
+            for (const auto &kv : log.records())
+                if (kv.second.clientDone && kv.second.ok &&
+                    !kv.second.stitched)
+                    ++unstitched;
+            if (fr.fleet.traceOrphans == 0 &&
+                fr.fleet.traceDuplicates == 0 && unstitched == 0)
+                return true;
+            why = "orphans=" + std::to_string(fr.fleet.traceOrphans) +
+                  " duplicates=" +
+                  std::to_string(fr.fleet.traceDuplicates) +
+                  " unstitched-ok=" + std::to_string(unstitched);
+            return false;
+        });
+        stitch.add("trace-span-reconcile", [&](Tick, std::string &why) {
+            if (fr.fleet.spanReconcileViolations == 0)
+                return true;
+            why = "span reconcile violations=" +
+                  std::to_string(fr.fleet.spanReconcileViolations);
+            return false;
+        });
+        stitch.runAll(eq.now());
+        r.invariants = stitch.report();
+    }
     r.fingerprint = bed.currentFingerprint();
-    r.invariants = bed.checks().report();
+    r.invariants.merge(bed.checks().report());
     r.invariants.merge(quiesce.report());
     return r;
 }
@@ -847,8 +812,8 @@ shrinkCandidates(const Scenario &s)
 
     if (s.fleetMachines > 0) {
         // Losing the whole fleet tier is the biggest simplification:
-        // back to the single-machine Testbed, shedding the fleet-only
-        // events (which are invalid without the tier). Then fewer
+        // back to the single machine (a fleet of one), shedding the
+        // fleet-only events (which are invalid without the tier). Then fewer
         // machines, fewer balancers, and the default steering policy.
         Scenario c = s;
         c.fleetMachines = 0;

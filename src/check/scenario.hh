@@ -72,10 +72,10 @@ struct Scenario
     int ephemeralPorts = 0;
     /** @} */
 
-    /** @name Fleet tier (0 machines = classic single-machine Testbed)
-     *  When fleetMachines > 0 the scenario runs on a FleetTestbed:
-     *  clients -> L4 balancer VIPs -> N server machines over modeled
-     *  links. Drain deadlines and crash/restart timing ride in the
+    /** @name Fleet tier (0 machines = the single machine, a fleet of
+     *  one with no balancer tier). When fleetMachines > 0 the scenario
+     *  runs behind the tier: clients -> L4 balancer VIPs -> N server
+     *  machines over modeled links. Drain deadlines and crash/restart timing ride in the
      *  fault plan through the fleet event kinds (machine_crash,
      *  rolling_restart, lb_crash); those kinds require the tier. */
     /** @{ */

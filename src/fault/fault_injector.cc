@@ -84,9 +84,9 @@ FaultInjector::arm(const std::vector<IpAddr> &server_addrs,
           case FaultKind::kLbCrash:
           case FaultKind::kMachineDegrade:
           case FaultKind::kNetPartition:
-            // Fleet orchestration: meaningless on a single machine.
-            // The FleetTestbed consumes these itself before arming the
-            // injector with the remaining wire/backend events.
+            // Fleet orchestration: meaningless without a balancer
+            // tier. A tiered FleetTestbed consumes these itself; the
+            // injector only counts them.
             ++ignoredEvents_;
             break;
         }

@@ -1,9 +1,10 @@
 /**
  * @file
- * Experiment harness: builds a machine + application + client fleet,
- * runs warmup and measurement windows, and collects the metrics every
- * figure/table of the paper is expressed in (connections/s, per-core
- * utilization, L3 miss rate, local-packet proportion, lockstat deltas).
+ * Experiment harness: builds server machines + applications + a client
+ * fleet (one machine, or N behind an L4 balancer tier), runs warmup and
+ * measurement windows, and collects the metrics every figure/table of
+ * the paper is expressed in (connections/s, per-core utilization, L3
+ * miss rate, local-packet proportion, lockstat deltas).
  */
 
 #ifndef FSIM_HARNESS_EXPERIMENT_HH
@@ -22,12 +23,16 @@
 #include "check/invariants.hh"
 #include "fault/fault_injector.hh"
 #include "fault/fault_plan.hh"
+#include "fleet/balancer.hh"
 #include "kernel/kernel_config.hh"
+#include "net/net_port.hh"
 #include "overload/admission.hh"
+#include "overload/slo.hh"
 #include "stats/metrics.hh"
 #include "sync/lock_registry.hh"
 #include "trace/conn_span.hh"
 #include "trace/fleet_trace.hh"
+#include "trace/incident_log.hh"
 #include "trace/span_forensics.hh"
 #include "trace/trace_report.hh"
 
@@ -268,7 +273,7 @@ struct ConnResult
 };
 
 /** Fleet-tier outcome (schema v8 "fleet" block; enabled=false and all
- *  zero for single-machine runs). Counters are sums over every balancer
+ *  zero for runs without a balancer tier). Counters are sums over every balancer
  *  and, where machine-scoped, over every server machine generation. */
 struct FleetResult
 {
@@ -426,7 +431,7 @@ struct ExperimentResult
     /** Connection-lifetime census (arena, TIME_WAIT, ports, ehash). */
     ConnResult conn;
 
-    /** Fleet tier (enabled=false for single-machine runs). */
+    /** Fleet tier (enabled=false for runs without a balancer tier). */
     FleetResult fleet;
 
     /** Sampled metrics time series (schema v10 "timeseries" block;
@@ -457,88 +462,416 @@ struct ExperimentResult
     double minUtil() const;
 };
 
+/** Subtract two lock-stat snapshots (per class), saturating at zero: a
+ *  restarted machine's counters start over, so a plain subtraction
+ *  could wrap. */
+std::map<std::string, LockClassStats> lockDelta(
+    const std::map<std::string, LockClassStats> &before,
+    const std::map<std::string, LockClassStats> &after);
+
+/** Topology + policy knobs on top of a per-machine template. */
+struct FleetConfig
+{
+    /** Per-machine template: app kind, machine/kernel config (seed,
+     *  cores, overload...), windows, faults, client shape. Fleet-kind
+     *  fault events are consumed by the orchestrator when a balancer
+     *  tier exists; the rest arm a normal FaultInjector against the
+     *  fabric. */
+    ExperimentConfig base;
+
+    /** 1..64 server machines behind 0..8 balancers. No balancer tier
+     *  (0) is legal only for a single machine: the fleet of one. */
+    int serverMachines = 4;
+    int balancers = 2;
+
+    /** @name Steering */
+    /** @{ */
+    L4Balancer::Policy policy = L4Balancer::Policy::kConsistentHash;
+    int vnodes = 64;
+    double boundedLoadFactor = 2.0;     //!< 0 = plain consistent hash
+    std::size_t maxFlowsPerBalancer = 1u << 15;
+    double forwardDelayUsec = 2.0;      //!< balancer rewrite cost
+    /** @} */
+
+    /** @name Health probing (wire-level SYN probes) */
+    /** @{ */
+    double probeIntervalMsec = 2.0;
+    double probeTimeoutMsec = 1.0;
+    int probeFallThreshold = 2;
+    int probeRiseThreshold = 1;
+    /** kScore replaces the binary fall/rise machine with latency-aware
+     *  outlier scoring (catches gray degradation binary probes miss). */
+    L4Balancer::HealthMode healthMode = L4Balancer::HealthMode::kBinary;
+    HealthScoreConfig healthScore;
+    /** @} */
+
+    /** @name Draining / failover */
+    /** @{ */
+    double drainPollMsec = 0.5;         //!< drain-progress poll period
+    double takeoverDelayMsec = 5.0;     //!< VIP failover detection lag
+    double flowIdleTimeoutMsec = 200.0;
+    double flowGcPeriodMsec = 10.0;
+    /** @} */
+
+    /** @name Fabric links (useLinks=false -> flat wireDelay fabric;
+     *  without a balancer tier the fabric is always flat) */
+    /** @{ */
+    bool useLinks = true;
+    double frontLinkLatencyUsec = 100.0;    //!< clients <-> VIPs
+    double frontLinkGbps = 40.0;
+    double rackLinkLatencyUsec = 20.0;      //!< NAT <-> each machine
+    double rackLinkGbps = 10.0;
+    /** @} */
+
+    /** >0: drive an open-loop Poisson arrival rate instead of the
+     *  closed loop (the diurnal-curve benches reshape it over time via
+     *  HttpLoad::setOpenLoopRate). */
+    double openLoopRate = 0.0;
+
+    /** @name SLO burn-rate tracking (independent of tracing: evaluates
+     *  aggregate load counters, so it works under --notrace too; needs
+     *  a balancer tier) */
+    /** @{ */
+    bool sloEnabled = false;
+    SloConfig slo;
+    /** @} */
+};
+
 /**
- * A fully wired simulated testbed. Exposed (rather than hidden inside a
- * run() function) so examples can drive it interactively.
+ * The simulated testbed: N identical server-machine stacks, optionally
+ * behind a tier of B L4 balancers, driven by one client fleet.
+ *
+ * With a balancer tier (B >= 1) the topology is (one shared fabric
+ * Wire, per-link latency/bandwidth):
+ *
+ *     clients (HttpLoad) ── front link ── VIPs (L4Balancer x B)
+ *                                           │ full NAT
+ *                                rack links per server machine
+ *                                           │
+ *                    server machines x N (Machine + Proxy/WebServer,
+ *                       each behind a TX-gated NetPort)
+ *                                           │
+ *                            shared BackendPool (haproxy mode)
+ *
+ * Without one (B = 0, N = 1: the fleet of one, what Testbed builds) the
+ * machine's NetPort sits on a flat wireDelay fabric, and the clients
+ * and the FaultInjector aim at the machine's own addresses and service
+ * port:
+ *
+ *     clients (HttpLoad) ── wireDelay ── server machine (NetPort)
+ *                                           │
+ *                            shared BackendPool (haproxy mode)
+ *
+ * Every server machine is an independent Machine instance with its own
+ * kernel, cores, admission controller and address block. Whether a
+ * balancer tier exists decides only what has no meaning without one:
+ * fabric links, the SYN_RCVD reaper balancer probes need, the client
+ * and fault target, fleet-kind fault orchestration, slot 0's seed
+ * (the fleet of one keeps the base seed), end-to-end tracing, metrics,
+ * SLO and incidents, the result's fleet block, the per-machine
+ * forensics (ring timelines, overflow warning, span stages, raw
+ * spans), sub-window lock/SYN deltas and the fingerprint fold.
+ *
+ * With a tier, the orchestrator consumes the fleet-kind FaultEvents
+ * (machine_crash / rolling_restart / lb_crash / machine_degrade /
+ * net_partition) from the plan and drives crash, drain->stop->restart->
+ * readmit and VIP-failover sequences against the live topology.
+ *
+ * Crash model: a machine's NetPort TX gate closes (zombie transmissions
+ * die at the NIC edge) and its fabric addresses are re-attached to a
+ * corpse handler — an RST responder (power stayed on, kernel gone) or a
+ * blackhole (cable pulled). Restart builds a fresh Machine generation
+ * whose constructor re-attaches the same addresses, overwriting the
+ * corpse. Old generations are retained as zombies until teardown so
+ * run-total counters stay monotonic.
+ *
+ * Determinism: same FleetConfig + seed => bit-identical fingerprint.
+ * With a tier it folds the fabric delivery hash, every machine
+ * generation's kernel counters and every balancer's counter hash;
+ * without one it folds the delivery hash and the single machine's
+ * full counter set.
  */
-class Testbed
+class FleetTestbed
 {
   public:
-    explicit Testbed(const ExperimentConfig &cfg);
-    ~Testbed();
+    explicit FleetTestbed(const FleetConfig &cfg);
+    ~FleetTestbed();
 
     EventQueue &eventQueue() { return *eq_; }
-    Wire &wire() { return *wire_; }
-    Machine &machine() { return *machine_; }
-    AppBase &app() { return *app_; }
+    Wire &fabric() { return *fabric_; }
     HttpLoad &load() { return *load_; }
+    L4Balancer &balancer(int k) { return *balancers_[k]; }
+    int balancerCount() const { return static_cast<int>(
+        balancers_.size()); }
+    Machine &machine(int s = 0) { return *slots_[s].gen.machine; }
+    AppBase &app(int s = 0) { return *slots_[s].gen.app; }
+    /** Null unless cfg.base.machine.overload.enabled. */
+    AdmissionController *admission(int s = 0)
+    {
+        return slots_[s].gen.admission.get();
+    }
+    bool machineUp(int s) const { return slots_[s].up; }
+    int machineCount() const { return static_cast<int>(slots_.size()); }
+    /** Null unless the app is haproxy. */
     BackendPool *backends() { return backends_.get(); }
+    /** Null unless the fault plan is non-empty. */
     FaultInjector *faults() { return faults_.get(); }
     InvariantRegistry &checks() { return checks_; }
-    /** Null unless cfg.machine.overload.enabled. */
-    AdmissionController *admission() { return admission_.get(); }
 
-    /** Run warmup + measurement, return the measured window. */
-    ExperimentResult run();
+    /** @name Manual fault orchestration (benches/tests drive these;
+     *  plan-scheduled fleet events call the same entry points) */
+    /** @{ */
+    /** Abrupt machine loss. @p admin suppresses the crash counter and
+     *  tells balancers (a planned stop, not a discovered failure). */
+    void crashMachine(int s, FaultEvent::CrashMode mode,
+                      bool admin = false);
+    /** Build the next Machine generation for a down slot. */
+    void restartMachine(int s);
+    /** Drain -> stop -> restart -> readmit, one machine at a time. */
+    void beginRollingRestart(Tick drainDeadline, Tick downtime);
+    bool rollingRestartActive() const { return rollingActive_; }
+    void crashBalancer(int k);
+    void restoreBalancer(int k);
+    /** Gray degradation: CPU work stretched by @p permille/1000, NIC
+     *  egress dropping @p nicLoss of packets and delaying the rest by
+     *  @p nicDelay. Survives a restart of the slot (the fault is the
+     *  machine's environment, not one generation's state). */
+    void degradeMachine(int s, std::uint32_t permille, double nicLoss,
+                        Tick nicDelay);
+    void clearDegrade(int s);
+    bool machineDegraded(int s) const { return slots_[s].degraded; }
+    /** @} */
 
-    /** Start the client fleet (done by run(); for manual driving). */
+    /** Incident ledger (inject -> detect -> eject -> recover stamps;
+     *  balancers write the detection-side stamps). */
+    const IncidentLog &incidents() const { return incidents_; }
+
+    /** End-to-end trace collector (client + balancer hops stream in
+     *  live; machine spans are stitched at collect()). */
+    const FleetTraceLog &traceLog() const { return traceLog_; }
+
+    /** Fleet metrics registry (sampled once per stat sub-window). */
+    const MetricsRegistry &metrics() const { return metrics_; }
+
+    /** SLO burn tracker (null unless cfg.sloEnabled). */
+    const SloTracker *slo() const { return slo_.get(); }
+
+    /** Per stat sub-window: feed the SLO tracker and sample every
+     *  registered metric (a no-op without a balancer tier). Recording
+     *  only. run() calls it once per sub-window; external drivers (the
+     *  scenario fuzzer) that bypass run() call it on their own
+     *  cadence. */
+    void sampleObservability(Tick wstart, Tick wend);
+
+    /** Start client load (idempotent; run() calls it). */
     void startLoad();
-
-    /** Snapshot-and-measure helper for manual driving. */
+    /** Reset all measurement marks to now. */
     void markWindows();
-    ExperimentResult collect();
-
     /**
      * Advance simulated time to @p limit, interleaving periodic
-     * invariant passes when cfg.checkLevel == kPeriodic. Slicing is
-     * behavior-neutral: events execute at identical ticks either way.
+     * invariant passes when cfg.base.checkLevel == kPeriodic. Slicing
+     * is behavior-neutral: events execute at identical ticks either
+     * way.
      */
     void runUntilChecked(Tick limit);
+    /** Measure since the last markWindows(). */
+    ExperimentResult collect();
+    /** warmup -> mark -> measure -> collect (the bench entry point). */
+    ExperimentResult run();
 
     /** Current determinism fingerprint (wire sequence + live counters). */
     std::uint64_t currentFingerprint() const;
 
+    /** @name Orchestration counters */
+    /** @{ */
+    std::uint64_t crashes() const { return crashes_; }
+    std::uint64_t restarts() const { return restarts_; }
+    std::uint64_t lbCrashes() const { return lbCrashes_; }
+    std::uint64_t vipTakeovers() const { return vipTakeovers_; }
+    std::uint64_t degradesApplied() const { return degradesApplied_; }
+    std::uint64_t flapTransitions() const { return flapTransitions_; }
+    std::uint64_t partitionsArmed() const { return partitionsArmed_; }
+    /** @} */
+
+    /** @name Address plan (stable; tests depend on it) */
+    /** @{ */
+    static IpAddr machineBase(int s)
+    {
+        return 0x0a000001u + static_cast<IpAddr>(s) * 0x100u;
+    }
+    static IpAddr vipAddr(int k) { return 0x0aff0001u + k; }
+    static IpAddr natAddr(int k) { return 0x0a800001u + k; }
+    /** @} */
+
   private:
-    ExperimentConfig cfg_;
-    /** Raw-span tap (cfg.keepSpanTraces only); declared before the
-     *  machine so it outlives the log that points at it. */
+    /** One machine generation (kept as a zombie after crash). */
+    struct Generation
+    {
+        std::unique_ptr<NetPort> port;
+        std::unique_ptr<Machine> machine;
+        std::unique_ptr<AppBase> app;
+        std::unique_ptr<AdmissionController> admission;
+    };
+
+    struct ServerSlot
+    {
+        Generation gen;
+        int generation = 0;     //!< 0 = original boot
+        bool up = true;
+        /** @name Active gray-degradation parameters (re-applied to a
+         *  fresh generation if the slot restarts mid-fault) */
+        /** @{ */
+        bool degraded = false;
+        std::uint32_t slowPermille = 1000;
+        double nicLoss = 0.0;
+        Tick nicDelay = 0;
+        /** @} */
+        /** @name Window marks for the slot's current generation */
+        /** @{ */
+        PhaseSnapshot phaseMark;
+        std::map<std::string, LockClassStats> lockMark;
+        KernelStats ksMark;
+        std::uint64_t servedMark = 0;
+        std::uint64_t accessesMark = 0;
+        std::uint64_t missesMark = 0;
+        /** @} */
+    };
+
+    /** Window deltas banked from generations retired mid-window. */
+    struct WindowCarry
+    {
+        std::uint64_t served = 0;
+        std::uint64_t slowPath = 0;
+        std::uint64_t steered = 0;
+        std::uint64_t rx = 0;
+        std::uint64_t activeLocal = 0;
+        std::uint64_t activeTotal = 0;
+        std::uint64_t accesses = 0;
+        std::uint64_t misses = 0;
+    };
+
+    /** Whether a balancer tier fronts the machines (see the class
+     *  comment for everything it decides). */
+    bool tiered() const { return cfg_.balancers > 0; }
+
+    void buildGeneration(int s);
+    void registerMachineInvariants(const Generation &g);
+    void armFleetFaults();
+    void applyDegrade(int s);
+    void setupObservability();
+    /** Run-total shed across balancers + every admission generation. */
+    std::uint64_t currentShedTotal() const;
+    /** Group token ("clients", "lbs", "ms", "lb<k>", "m<s>") to fabric
+     *  address ranges (first, last). */
+    std::vector<std::pair<IpAddr, IpAddr>>
+    resolveGroup(const std::string &tok) const;
+    void advanceRolling();
+    void pollDrain(int s, Tick deadline);
+    void pollReadmit(int s);
+    std::uint64_t totalActiveOn(int s) const;
+    template <typename Fn> void forEachGeneration(Fn fn) const;
+
+    FleetConfig cfg_;
+    /** Raw-span tap (cfg.base.keepSpanTraces without a tier); declared
+     *  before the machines so it outlives the logs that point at it. */
     std::unique_ptr<ConnSpanRecorder> spanRecorder_;
     std::unique_ptr<EventQueue> eq_;
-    std::unique_ptr<Wire> wire_;
-    std::unique_ptr<Machine> machine_;
+    std::unique_ptr<Wire> fabric_;
+    std::vector<ServerSlot> slots_;
+    std::vector<Generation> retired_;
+    std::vector<std::unique_ptr<L4Balancer>> balancers_;
+    std::vector<bool> lbUp_;
     std::unique_ptr<BackendPool> backends_;
-    std::unique_ptr<AppBase> app_;
+    std::vector<IpAddr> backendAddrs_;
     std::unique_ptr<HttpLoad> load_;
     std::unique_ptr<FaultInjector> faults_;
-    std::unique_ptr<AdmissionController> admission_;
     InvariantRegistry checks_;
-
     bool loadStarted_ = false;
-    std::map<std::string, LockClassStats> lockMark_;
-    PhaseSnapshot phaseMark_;
-    std::uint64_t accessesMark_ = 0;
-    std::uint64_t missesMark_ = 0;
-    std::uint64_t servedMark_ = 0;
+
+    Tick drainPoll_ = 0;
+    bool rollingActive_ = false;
+    int rollingIndex_ = 0;
+    Tick rollingDrain_ = 0;
+    Tick rollingDown_ = 0;
+
+    std::uint64_t crashes_ = 0;
+    std::uint64_t restarts_ = 0;
+    std::uint64_t lbCrashes_ = 0;
+    std::uint64_t vipTakeovers_ = 0;
+    std::uint64_t corpseRsts_ = 0;
+    std::uint64_t blackholed_ = 0;
+    std::uint64_t degradesApplied_ = 0;
+    std::uint64_t flapTransitions_ = 0;
+    std::uint64_t partitionsArmed_ = 0;
+    IncidentLog incidents_;
+    FleetTraceLog traceLog_;
+    MetricsRegistry metrics_;
+    std::unique_ptr<SloTracker> slo_;
+
+    /** @name Metric slots + sampling cursors */
+    /** @{ */
+    struct MetricIds
+    {
+        std::vector<MetricsRegistry::MetricId> lbFlows;
+        std::vector<MetricsRegistry::MetricId> mCps;
+        std::vector<MetricsRegistry::MetricId> mEstablished;
+        std::vector<MetricsRegistry::MetricId> mTimeWait;
+        std::vector<MetricsRegistry::MetricId> mPressure;
+        MetricsRegistry::MetricId completed =
+            MetricsRegistry::kInvalidMetric;
+        MetricsRegistry::MetricId failed =
+            MetricsRegistry::kInvalidMetric;
+        MetricsRegistry::MetricId shed = MetricsRegistry::kInvalidMetric;
+        MetricsRegistry::MetricId upMachines =
+            MetricsRegistry::kInvalidMetric;
+        MetricsRegistry::MetricId healthyTargets =
+            MetricsRegistry::kInvalidMetric;
+        MetricsRegistry::MetricId successRatio =
+            MetricsRegistry::kInvalidMetric;
+        MetricsRegistry::MetricId latency =
+            MetricsRegistry::kInvalidMetric;
+        MetricsRegistry::MetricId fastBurn =
+            MetricsRegistry::kInvalidMetric;
+        MetricsRegistry::MetricId slowBurn =
+            MetricsRegistry::kInvalidMetric;
+    };
+    MetricIds mid_;
+    std::size_t latCursor_ = 0;     //!< into load_->latencySamples()
+    std::uint64_t obsCompletedPrev_ = 0;
+    std::uint64_t obsFailedPrev_ = 0;
+    std::uint64_t obsShedPrev_ = 0;
+    std::vector<std::uint64_t> obsServedPrev_;
+    /** @} */
+
+    /** @name Run-level measurement marks */
+    /** @{ */
+    Tick markTick_ = 0;
+    std::uint64_t completedMark_ = 0;
     std::uint64_t failedMark_ = 0;
-    std::uint64_t slowMark_ = 0;
-    std::uint64_t steerMark_ = 0;
-    std::uint64_t rxMark_ = 0;
-    std::uint64_t activeLocalMark_ = 0;
-    std::uint64_t activeTotalMark_ = 0;
-    std::size_t spanCompletedMark_ = 0;
-    std::size_t rawSpanMark_ = 0;
     std::uint64_t eventsRunMark_ = 0;
     std::uint64_t eventsScheduledMark_ = 0;
-    Tick markTick_ = 0;
+    std::size_t spanCompletedMark_ = 0;
+    std::size_t rawSpanMark_ = 0;
+    WindowCarry carry_;
+    /** @} */
+};
+
+/**
+ * One machine, no balancer tier: the fleet of one. Exposed (rather than
+ * hidden inside a run() function) so examples can drive it
+ * interactively; machine() and app() mean slot 0.
+ */
+class Testbed : public FleetTestbed
+{
+  public:
+    explicit Testbed(const ExperimentConfig &cfg);
 };
 
 /** Convenience: build a testbed, run it, return the result. */
 ExperimentResult runExperiment(const ExperimentConfig &cfg);
 
-/** Subtract two lock-stat snapshots (per class). */
-std::map<std::string, LockClassStats> lockDelta(
-    const std::map<std::string, LockClassStats> &before,
-    const std::map<std::string, LockClassStats> &after);
+/** One-shot convenience mirroring runExperiment(). */
+ExperimentResult runFleetExperiment(const FleetConfig &cfg);
 
 } // namespace fsim
 

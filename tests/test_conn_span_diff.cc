@@ -23,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "fleet/fleet.hh"
 #include "harness/experiment.hh"
 #include "reference_conn_span.hh"
 #include "sim/rng.hh"

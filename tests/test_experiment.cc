@@ -23,12 +23,20 @@ TEST(LockDelta, SubtractsPerClass)
     after["slock"].contentions = 7;
     after["slock"].waitTicks = 400;
     after["new.lock"].acquisitions = 3;
+    // A restarted machine's counters start over below the mark.
+    before["ep.lock"].acquisitions = 50;
+    before["ep.lock"].holdTicks = 900;
+    after["ep.lock"].acquisitions = 20;
+    after["ep.lock"].holdTicks = 1000;
 
     auto d = lockDelta(before, after);
     EXPECT_EQ(d["slock"].acquisitions, 15u);
     EXPECT_EQ(d["slock"].contentions, 5u);
     EXPECT_EQ(d["slock"].waitTicks, 300u);
     EXPECT_EQ(d["new.lock"].acquisitions, 3u);
+    // Saturates instead of wrapping.
+    EXPECT_EQ(d["ep.lock"].acquisitions, 0u);
+    EXPECT_EQ(d["ep.lock"].holdTicks, 100u);
 }
 
 TEST(ExperimentResult, UtilHelpers)

@@ -297,7 +297,7 @@ TEST(FaultEndToEnd, LossBurstRecoversViaClientRetransmission)
     Testbed bed(cfg);
     ExperimentResult r = bed.run();
     EXPECT_GT(r.served, 0u);
-    EXPECT_GT(bed.wire().lost(), 0u);
+    EXPECT_GT(bed.fabric().lost(), 0u);
     EXPECT_GT(bed.load().synRetransmits() +
                   bed.load().requestRetransmits(), 0u);
     EXPECT_EQ(r.invariants.violationCount, 0u)

@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "app/proxy.hh"
-#include "fleet/fleet.hh"
+#include "harness/experiment.hh"
 
 namespace fsim
 {
@@ -255,6 +255,23 @@ TEST(Fleet, BalancerConfigValidationDies)
     blindScore.probeInterval = 0;
     EXPECT_DEATH({ L4Balancer lb(eq, fabric, blindScore); (void)lb; },
                  "requires probing");
+}
+
+TEST(Fleet, NoBalancerTierOnlyForOneMachine)
+{
+    // balancers == 0 is the fleet of one; more machines need a tier to
+    // steer between them.
+    FleetConfig twoBare = smallFleet(KernelConfig::fastsocket(), 2, 0);
+    EXPECT_DEATH({ FleetTestbed bed(twoBare); (void)bed; },
+                 "serverMachines=2 balancers=0");
+    FleetConfig none = smallFleet(KernelConfig::fastsocket(), 0, 1);
+    EXPECT_DEATH({ FleetTestbed bed(none); (void)bed; },
+                 "serverMachines=0 balancers=1");
+
+    FleetTestbed one(smallFleet(KernelConfig::fastsocket(), 1, 0));
+    EXPECT_EQ(one.machineCount(), 1);
+    EXPECT_EQ(one.balancerCount(), 0);
+    EXPECT_FALSE(one.run().fleet.enabled);
 }
 
 /**

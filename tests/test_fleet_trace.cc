@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault_injector.hh"
-#include "fleet/fleet.hh"
+#include "harness/experiment.hh"
 
 namespace fsim
 {
