@@ -316,7 +316,12 @@ KernelStack::newSocket()
     ++stats_.socketsCreated;
     s->id = nextSockId_++;
     s->cacheObj = d_.cache->newObject();
-    s->slock.init(d_.locks->getClass("slock"), d_.cache,
+    // Resolved on first use, not at construction: the registry creates
+    // the class when the first socket is made, which fixes its trace id
+    // and its row position in the lockstat output.
+    if (!slockClass_)
+        slockClass_ = d_.locks->getClass("slock");
+    s->slock.init(slockClass_, d_.cache,
                   d_.costs->lockAcquireBase, d_.costs->lockHandoffStorm);
     return s;
 }

@@ -401,6 +401,8 @@ class KernelStack
      *  while the bucket is empty). */
     std::vector<TimerWheel::TimerId> twReaperTimers_;
     std::uint64_t nextSockId_ = 1;
+    /** Lock class shared by every socket's slock (cached lookup). */
+    LockClassStats *slockClass_ = nullptr;
 
     /** Local IPs this kernel serves (set by listen()). */
     std::vector<IpAddr> localAddrs_;

@@ -5,16 +5,26 @@
  * std::unordered_map allocates one node per element, which turns every
  * per-connection insert (established hash, TIME_WAIT index, load
  * generator state) into steady-state heap traffic. FlatMap stores keys
- * and values in flat arrays with linear probing and tombstone deletion,
- * and — critically — recycles its backing arrays: rebuilds that purge
- * tombstones reuse a shadow set of arrays that is kept around between
- * rebuilds, so once the table has reached its high-water capacity,
- * insert/find/erase churn never touches the allocator. The
- * allocation-audit test enforces this end to end.
+ * and values in flat arrays with linear probing. Erase uses backward
+ * shift: later members of the probe cluster slide back into the hole,
+ * so there are no tombstones, no purge rebuilds and no spare arrays to
+ * rebuild into. Capacity only grows (at 3/4 load), so once the table
+ * has reached its high-water capacity, insert/find/erase churn never
+ * touches the allocator. The allocation-audit test enforces this end
+ * to end.
+ *
+ * The slot index comes from a splitmix64 finalizer over Hash{}(key):
+ * std::hash of an integer is the identity, and masking it directly
+ * turns keys that differ only in high or clustered bits into long
+ * probe chains.
+ *
+ * Pointer rule: a pointer returned by find() or insert() is valid only
+ * until the next insert() or erase() of any key — growth reallocates,
+ * and backward shift moves entries.
  *
  * Deliberately minimal: no iteration (nothing on the hot path iterates,
  * and iteration order would be a determinism hazard), keys and values
- * must be default-constructible and copyable.
+ * must be default-constructible and movable.
  */
 
 #ifndef FSIM_SIM_FLAT_MAP_HH
@@ -63,29 +73,18 @@ class FlatMap
     std::pair<V *, bool>
     insert(const K &key, V value)
     {
-        // Keep occupancy (live + tombstones) under 3/4 so probes stay
-        // short. Grow only when live entries justify it; otherwise
-        // rebuild at the same capacity to purge tombstones.
-        if (st_.empty() || (size_ + tombs_ + 1) * 4 >= st_.size() * 3)
-            rehash(!st_.empty() && size_ * 2 < st_.size()
-                       ? st_.size()
-                       : (st_.empty() ? kMinCapacity : st_.size() * 2));
+        // Keep the load under 3/4 so probes stay short.
+        if (full_.empty() || (size_ + 1) * 4 >= full_.size() * 3)
+            grow(full_.empty() ? kMinCapacity : full_.size() * 2);
 
-        const std::size_t mask = st_.size() - 1;
-        std::size_t idx = Hash{}(key) & mask;
-        std::size_t grave = kNpos;
-        while (st_[idx] != kEmpty) {
-            if (st_[idx] == kFull && Eq{}(keys_[idx], key))
+        const std::size_t mask = full_.size() - 1;
+        std::size_t idx = home(key, mask);
+        while (full_[idx]) {
+            if (Eq{}(keys_[idx], key))
                 return {&vals_[idx], false};
-            if (st_[idx] == kTomb && grave == kNpos)
-                grave = idx;
             idx = (idx + 1) & mask;
         }
-        if (grave != kNpos) {
-            idx = grave;
-            --tombs_;
-        }
-        st_[idx] = kFull;
+        full_[idx] = 1;
         keys_[idx] = key;
         vals_[idx] = std::move(value);
         ++size_;
@@ -96,32 +95,53 @@ class FlatMap
     bool
     erase(const K &key)
     {
-        const std::size_t idx = locate(key);
-        if (idx == kNpos)
+        std::size_t hole = locate(key);
+        if (hole == kNpos)
             return false;
-        st_[idx] = kTomb;
-        keys_[idx] = K{};
-        vals_[idx] = V{};
+        // Backward shift: walk the rest of the cluster and pull back
+        // every entry whose home slot does not lie in (hole, j], so no
+        // lookup ever has to step over an empty slot to reach its key.
+        const std::size_t mask = full_.size() - 1;
+        for (std::size_t j = (hole + 1) & mask; full_[j];
+             j = (j + 1) & mask) {
+            const std::size_t h = home(keys_[j], mask);
+            if (((j - h) & mask) < ((j - hole) & mask))
+                continue;
+            keys_[hole] = std::move(keys_[j]);
+            vals_[hole] = std::move(vals_[j]);
+            hole = j;
+        }
+        full_[hole] = 0;
+        keys_[hole] = K{};
+        vals_[hole] = V{};
         --size_;
-        ++tombs_;
         return true;
     }
 
   private:
-    enum : std::uint8_t { kEmpty = 0, kFull = 1, kTomb = 2 };
-
     static constexpr std::size_t kNpos = ~std::size_t{0};
     static constexpr std::size_t kMinCapacity = 16;
+
+    static std::size_t
+    home(const K &key, std::size_t mask)
+    {
+        // splitmix64 finalizer.
+        std::uint64_t x = static_cast<std::uint64_t>(Hash{}(key));
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+        x ^= x >> 31;
+        return static_cast<std::size_t>(x) & mask;
+    }
 
     std::size_t
     locate(const K &key) const
     {
-        if (st_.empty())
+        if (full_.empty())
             return kNpos;
-        const std::size_t mask = st_.size() - 1;
-        std::size_t idx = Hash{}(key) & mask;
-        while (st_[idx] != kEmpty) {
-            if (st_[idx] == kFull && Eq{}(keys_[idx], key))
+        const std::size_t mask = full_.size() - 1;
+        std::size_t idx = home(key, mask);
+        while (full_[idx]) {
+            if (Eq{}(keys_[idx], key))
                 return idx;
             idx = (idx + 1) & mask;
         }
@@ -129,50 +149,32 @@ class FlatMap
     }
 
     void
-    rehash(std::size_t cap)
+    grow(std::size_t cap)
     {
         fsim_assert((cap & (cap - 1)) == 0 && cap > size_);
-        // The shadow arrays only ever grow (allocation happens at a new
-        // high-water capacity); same-capacity tombstone purges reuse
-        // them allocation-free.
-        shadowSt_.assign(cap, kEmpty);
-        if (shadowKeys_.size() != cap) {
-            shadowKeys_.resize(cap);
-            shadowVals_.resize(cap);
-        }
+        std::vector<std::uint8_t> full(cap, 0);
+        std::vector<K> keys(cap);
+        std::vector<V> vals(cap);
         const std::size_t mask = cap - 1;
-        for (std::size_t i = 0; i < st_.size(); ++i) {
-            if (st_[i] != kFull)
+        for (std::size_t i = 0; i < full_.size(); ++i) {
+            if (!full_[i])
                 continue;
-            std::size_t idx = Hash{}(keys_[i]) & mask;
-            while (shadowSt_[idx] != kEmpty)
+            std::size_t idx = home(keys_[i], mask);
+            while (full[idx])
                 idx = (idx + 1) & mask;
-            shadowSt_[idx] = kFull;
-            shadowKeys_[idx] = std::move(keys_[i]);
-            shadowVals_[idx] = std::move(vals_[i]);
-            keys_[i] = K{};
-            vals_[i] = V{};
+            full[idx] = 1;
+            keys[idx] = std::move(keys_[i]);
+            vals[idx] = std::move(vals_[i]);
         }
-        st_.swap(shadowSt_);
-        keys_.swap(shadowKeys_);
-        vals_.swap(shadowVals_);
-        tombs_ = 0;
-        // Retired arrays become next rebuild's shadow; bring them to the
-        // new capacity now so the *next* same-size purge is clean too.
-        if (shadowKeys_.size() != cap) {
-            shadowKeys_.resize(cap);
-            shadowVals_.resize(cap);
-        }
+        full_.swap(full);
+        keys_.swap(keys);
+        vals_.swap(vals);
     }
 
-    std::vector<std::uint8_t> st_;
+    std::vector<std::uint8_t> full_;
     std::vector<K> keys_;
     std::vector<V> vals_;
-    std::vector<std::uint8_t> shadowSt_;
-    std::vector<K> shadowKeys_;
-    std::vector<V> shadowVals_;
     std::size_t size_ = 0;
-    std::size_t tombs_ = 0;
 };
 
 } // namespace fsim

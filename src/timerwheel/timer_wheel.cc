@@ -7,28 +7,6 @@
 namespace fsim
 {
 
-TimerWheel::TimerWheel(std::uint64_t start_jiffy)
-    : jiffy_(start_jiffy)
-{
-    // Give every slot a sticky capacity up front: the first pushes into
-    // a fresh slot would otherwise heap-allocate, and timers keep
-    // wrapping into fresh slot indices deep into steady state, which
-    // the allocation audit forbids. tv1 wraps every 256 jiffies, so a
-    // short warm-up discovers its per-slot high-water marks; the outer
-    // levels wrap over minutes of simulated time — no warm-up covers a
-    // revolution, so they get enough capacity for every live socket's
-    // long-horizon (keepalive/embryonic) timer to share one slot.
-    // 16, not a token 1-2: tv1 occupancy is sub-1 on average but
-    // cascades dump whole outer-level slots across it, so rare slots
-    // see several entries — the next doubling threshold must sit above
-    // any occupancy the steady state can reach.
-    for (Slot &s : tv1_)
-        s.reserve(16);
-    for (auto &level : tvn_)
-        for (Slot &s : level)
-            s.reserve(256);
-}
-
 TimerWheel::Node *
 TimerWheel::nodeAt(TimerId id)
 {
@@ -50,7 +28,7 @@ TimerWheel::freeNode(TimerId id)
     n.live = false;
     n.level = kDetached;
     ++n.gen;   // every outstanding handle to this slot goes stale
-    n.nextFree = freeHead_;
+    n.next = freeHead_;
     freeHead_ = idx;
 }
 
@@ -58,9 +36,9 @@ TimerWheel::TimerId
 TimerWheel::add(std::uint64_t expires, Callback cb)
 {
     std::uint32_t idx;
-    if (freeHead_ != kNoFree) {
+    if (freeHead_ != kNil) {
         idx = freeHead_;
-        freeHead_ = nodes_[idx].nextFree;
+        freeHead_ = nodes_[idx].next;
     } else {
         idx = static_cast<std::uint32_t>(nodes_.size());
         nodes_.emplace_back();
@@ -70,21 +48,19 @@ TimerWheel::add(std::uint64_t expires, Callback cb)
     n.cb = std::move(cb);
     n.live = true;
     n.level = kDetached;
-    n.nextFree = kNoFree;
     const TimerId id =
         (static_cast<TimerId>(n.gen) << 32) | (idx + 1);
     ++liveCount_;
-    place(id, n);
+    place(idx);
     return id;
 }
 
 bool
 TimerWheel::cancel(TimerId id)
 {
-    Node *n = nodeAt(id);
-    if (!n)
+    if (!nodeAt(id))
         return false;
-    detach(*n);
+    detach(static_cast<std::uint32_t>(id) - 1);
     freeNode(id);
     --liveCount_;
     return true;
@@ -96,9 +72,10 @@ TimerWheel::modify(TimerId id, std::uint64_t expires)
     Node *n = nodeAt(id);
     if (!n)
         return false;
-    detach(*n);
+    const std::uint32_t idx = static_cast<std::uint32_t>(id) - 1;
+    detach(idx);
     n->expires = expires;
-    place(id, *n);
+    place(idx);
     return true;
 }
 
@@ -111,8 +88,9 @@ TimerWheel::slotAt(std::uint8_t level, std::uint32_t index)
 }
 
 void
-TimerWheel::place(TimerId id, Node &node)
+TimerWheel::place(std::uint32_t idx)
 {
+    Node &node = nodes_[idx];
     // Clamp far-future timers into the outermost level, like the kernel.
     constexpr std::uint64_t kMaxDelta =
         (1ull << (kTv1Bits + kLevels * kTvnBits)) - 1;
@@ -148,26 +126,48 @@ TimerWheel::place(TimerId id, Node &node)
     Slot &slot = slotAt(level, index);
     node.level = level;
     node.index = index;
-    node.pos = static_cast<std::uint32_t>(slot.size());
-    slot.push_back(id);
+    node.prev = slot.tail;
+    node.next = kNil;
+    if (slot.tail != kNil)
+        nodes_[slot.tail].next = idx;
+    else
+        slot.head = idx;
+    slot.tail = idx;
+    ++slot.count;
 }
 
 void
-TimerWheel::detach(Node &node)
+TimerWheel::detach(std::uint32_t idx)
 {
+    Node &node = nodes_[idx];
     if (node.level == kDetached)
         return;
     Slot &slot = slotAt(node.level, node.index);
-    fsim_assert(node.pos < slot.size());
-    TimerId moved = slot.back();
-    slot[node.pos] = moved;
-    slot.pop_back();
-    if (node.pos < slot.size()) {
-        // Fix the swapped-in entry's recorded position.
-        Node *mn = nodeAt(moved);
-        fsim_assert(mn != nullptr);
-        mn->pos = node.pos;
+    fsim_assert(slot.count > 0);
+    const std::uint32_t t = slot.tail;
+    if (t == idx) {
+        slot.tail = node.prev;
+        if (node.prev != kNil)
+            nodes_[node.prev].next = kNil;
+        else
+            slot.head = kNil;
+    } else {
+        // Move the tail node into the hole (swap-with-last order).
+        Node &moved = nodes_[t];
+        slot.tail = moved.prev;
+        nodes_[moved.prev].next = kNil;
+        moved.prev = node.prev;
+        moved.next = node.next;
+        if (moved.prev != kNil)
+            nodes_[moved.prev].next = t;
+        else
+            slot.head = t;
+        if (moved.next != kNil)
+            nodes_[moved.next].prev = t;
+        else
+            slot.tail = t;
     }
+    --slot.count;
     node.level = kDetached;
 }
 
@@ -175,24 +175,17 @@ void
 TimerWheel::cascade(std::uint32_t level, std::uint32_t index)
 {
     Slot &slot = tvn_[level][index];
-    cascaded_ += slot.size();
-    // place() may legally re-append into this same slot (clamped
-    // far-future timers), so iterate a scratch copy. The scratch's
-    // capacity is sticky (swapped back when done), keeping steady-state
-    // cascades allocation-free yet reentrancy-safe.
-    Slot moved;
-    moved.swap(cascadeScratch_);
-    moved.assign(slot.begin(), slot.end());
-    slot.clear();
-    for (TimerId id : moved) {
-        Node *n = nodeAt(id);
-        if (!n)
-            continue;   // defensive; eager detach should prevent this
-        n->level = kDetached;
-        place(id, *n);
+    cascaded_ += slot.count;
+    // Unhook the whole chain first: place() may legally re-append into
+    // this same slot (clamped far-future timers).
+    std::uint32_t idx = slot.head;
+    slot = Slot{};
+    while (idx != kNil) {
+        const std::uint32_t next = nodes_[idx].next;
+        nodes_[idx].level = kDetached;
+        place(idx);
+        idx = next;
     }
-    moved.clear();
-    moved.swap(cascadeScratch_);
 }
 
 void
@@ -210,19 +203,19 @@ TimerWheel::tickOnce()
         }
     }
 
-    // The due batch is detached from the wheel: copy it to a reusable
-    // scratch and mark members so a cancel()/modify() issued by an
-    // earlier callback in this batch does not try to swap-pop inside
-    // the already-cleared slot vector.
-    Slot due;
+    // The due batch is detached from the wheel: copy its handles to a
+    // reusable scratch and mark members so a cancel()/modify() issued by
+    // an earlier callback in this batch does not try to unlink from the
+    // already-emptied slot.
+    std::vector<TimerId> due;
     due.swap(due_);
-    due.assign(tv1_[idx1].begin(), tv1_[idx1].end());
-    tv1_[idx1].clear();
-    for (TimerId id : due) {
-        Node *n = nodeAt(id);
-        if (n)
-            n->level = kDetached;
+    Slot &slot = tv1_[idx1];
+    for (std::uint32_t i = slot.head; i != kNil; i = nodes_[i].next) {
+        Node &n = nodes_[i];
+        n.level = kDetached;
+        due.push_back((static_cast<TimerId>(n.gen) << 32) | (i + 1));
     }
+    slot = Slot{};
     for (TimerId id : due) {
         Node *n = nodeAt(id);
         if (!n)
@@ -231,9 +224,12 @@ TimerWheel::tickOnce()
             // Re-armed to a later time by an earlier callback; if it is
             // still detached, give it back a real slot.
             if (n->level == kDetached)
-                place(id, *n);
+                place(static_cast<std::uint32_t>(id) - 1);
             continue;
         }
+        // Re-armed into the past by an earlier callback: it fires now,
+        // so take it back off the slot it was re-linked into.
+        detach(static_cast<std::uint32_t>(id) - 1);
         Callback cb = std::move(n->cb);
         freeNode(id);
         --liveCount_;
@@ -258,10 +254,10 @@ TimerWheel::slotEntries() const
 {
     std::size_t n = 0;
     for (const Slot &s : tv1_)
-        n += s.size();
+        n += s.count;
     for (const auto &level : tvn_)
         for (const Slot &s : level)
-            n += s.size();
+            n += s.count;
     return n;
 }
 

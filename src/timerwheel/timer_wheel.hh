@@ -8,12 +8,16 @@
  * index wraps. Each simulated core owns one wheel ("timer base"), protected
  * by the base.lock the paper's Table 1 reports on.
  *
- * Each node tracks its current slot position, so cancel() and modify()
- * detach the slot entry eagerly in O(1) (swap-with-back). The earlier
- * lazy-cancel scheme left stale ids in the slot vectors until the slot was
- * next visited; under keepalive-timer churn (one mod_timer per data
- * segment) with millions of live connections those stale entries grew
- * without bound between cascades.
+ * Each slot is an intrusive doubly linked list of node indices threaded
+ * through the nodes themselves ({head, tail, count}, 12 bytes), so an
+ * empty slot costs no heap memory and a busy one never reallocates.
+ * cancel() and modify() detach a node eagerly in O(1) by moving the
+ * slot's tail node into the hole — the order a vector's swap-with-last
+ * erase gives, which fixes the firing order within a slot. (A lazy
+ * cancel would leave stale entries in the slots until they were next
+ * visited; under keepalive-timer churn, one mod_timer per data segment
+ * with millions of live connections, those grew without bound between
+ * cascades.)
  *
  * Nodes live in a generation-tagged slab (a plain vector plus an
  * intrusive free list) instead of a std::unordered_map: arming a timer in
@@ -52,7 +56,10 @@ class TimerWheel
     /** Sentinel for "no timer". */
     static constexpr TimerId kInvalidTimer = 0;
 
-    explicit TimerWheel(std::uint64_t start_jiffy = 0);
+    explicit TimerWheel(std::uint64_t start_jiffy = 0)
+        : jiffy_(start_jiffy)
+    {
+    }
 
     /**
      * Arm a timer.
@@ -91,9 +98,9 @@ class TimerWheel
     std::uint64_t currentJiffy() const { return jiffy_; }
 
     /**
-     * Total ids held across all slot vectors. With eager detach this
+     * Total entries linked across all slots. With eager detach this
      * equals pending() outside of a firing batch; the accessor exists so
-     * tests can assert slot memory stays bounded under cancel/modify
+     * tests can assert slot occupancy stays bounded under cancel/modify
      * churn.
      */
     std::size_t slotEntries() const;
@@ -107,7 +114,8 @@ class TimerWheel
   private:
     /** Slot coordinates: level 0 is tv1, 1..kLevels are tvn_[level-1]. */
     static constexpr std::uint8_t kDetached = 0xff;
-    static constexpr std::uint32_t kNoFree = 0xffffffff;
+    /** Null node index (list ends, empty free list). */
+    static constexpr std::uint32_t kNil = 0xffffffff;
 
     struct Node
     {
@@ -115,8 +123,9 @@ class TimerWheel
         Callback cb;
         std::uint32_t gen = 0;
         std::uint32_t index = 0;
-        std::uint32_t pos = 0;
-        std::uint32_t nextFree = kNoFree;
+        std::uint32_t prev = kNil;
+        /** Slot-list successor; the free-list link while free. */
+        std::uint32_t next = kNil;
         std::uint8_t level = kDetached;
         bool live = false;
     };
@@ -127,7 +136,12 @@ class TimerWheel
     static constexpr std::uint32_t kTvnSize = 1u << kTvnBits;   // 64
     static constexpr std::uint32_t kLevels = 4;                 // tv2..tv5
 
-    using Slot = std::vector<TimerId>;
+    struct Slot
+    {
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+        std::uint32_t count = 0;
+    };
 
     /** Slab lookup; nullptr when the handle is stale or invalid. */
     Node *nodeAt(TimerId id);
@@ -136,8 +150,8 @@ class TimerWheel
     void freeNode(TimerId id);
 
     Slot &slotAt(std::uint8_t level, std::uint32_t index);
-    void place(TimerId id, Node &node);
-    void detach(Node &node);
+    void place(std::uint32_t idx);
+    void detach(std::uint32_t idx);
     void cascade(std::uint32_t level, std::uint32_t index);
     void tickOnce();
 
@@ -150,11 +164,10 @@ class TimerWheel
     Slot tvn_[kLevels][kTvnSize];
 
     std::vector<Node> nodes_;
-    std::uint32_t freeHead_ = kNoFree;
-    /** Scratch vectors (capacity reused across ticks; swapped into a
+    std::uint32_t freeHead_ = kNil;
+    /** Due-batch scratch (capacity reused across ticks; swapped into a
      *  local during use so reentrant advance stays safe). */
-    Slot due_;
-    Slot cascadeScratch_;
+    std::vector<TimerId> due_;
 };
 
 } // namespace fsim

@@ -8,10 +8,12 @@
  * sim/alloc_audit). Two layers of contract:
  *
  *  1. The raw simulator substrate — EventQueue scheduling/dispatch,
- *     TimerWheel arm/mod/cancel/fire, CpuModel task posting — must make
- *     ZERO allocations once its slabs and rings are warm. This is the
- *     inline-capture budget (EventFn 56 B, Task 88 B, timer callbacks
- *     32/64 B) plus slab recycling doing their job.
+ *     TimerWheel arm/mod/cancel/fire (long-horizon timers on fresh
+ *     outer-level slots included), FlatMap insert/erase churn, CpuModel
+ *     task posting — must make ZERO allocations once its slabs and
+ *     rings are warm. This is the inline-capture budget (EventFn 56 B,
+ *     Task 88 B, timer callbacks 32/64 B) plus slab recycling doing
+ *     their job.
  *
  *  2. A steady-state --notrace nginx experiment (full kernel + app +
  *     load) must likewise run allocation-free between checkpoints once
@@ -31,6 +33,7 @@
 #include "harness/experiment.hh"
 #include "sim/alloc_audit.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "sim/rng.hh"
 #include "timerwheel/timer_wheel.hh"
 #include "trace/conn_span.hh"
@@ -231,6 +234,88 @@ TEST(AllocAudit, TimerWheelSteadyStateIsAllocationFree)
     if (audited) dumpHist("timer wheel");
     EXPECT_EQ(audited, 0u)
         << "timer arm/mod/fire hit the allocator in steady state";
+}
+
+TEST(AllocAudit, FlatMapChurnAtSteadyPopulationIsAllocationFree)
+{
+    // Erase+insert churn at a fixed population near the 3/4 load limit
+    // (6000 live keys in 8192 slots): backward-shift deletion leaves no
+    // tombstones behind, so the table never rebuilds and never touches
+    // the allocator once it has reached its high-water capacity.
+    FlatMap<std::uint64_t, std::uint64_t> m;
+    Rng rng(5);
+    std::uint64_t next = 1;
+    std::vector<std::uint64_t> live;
+    live.reserve(6000);
+    while (live.size() < 6000) {
+        live.push_back(next * 0x9e3779b97f4a7c15ull);
+        m.insert(live.back(), next++);
+    }
+    auto churn = [&](int ops) {
+        for (int i = 0; i < ops; ++i) {
+            std::uint64_t &k = live[rng.range(live.size())];
+            m.erase(k);
+            k = next * 0x9e3779b97f4a7c15ull;
+            m.insert(k, next++);
+        }
+    };
+    churn(100'000);
+    std::uint64_t audited;
+    {
+        AllocAuditScope scope;
+        churn(200'000);
+        audited = AllocAudit::disarm();
+    }
+    if (audited) dumpHist("flat map");
+    EXPECT_EQ(audited, 0u)
+        << "flat map insert/erase churn hit the allocator";
+    EXPECT_EQ(m.size(), 6000u);
+}
+
+TEST(AllocAudit, TimerWheelFreshOuterSlotsAreAllocationFree)
+{
+    // Long-horizon timers (2^18..2^19 jiffies out, like keepalive and
+    // embryonic timers) land in tv3, whose slot index advances once
+    // every 2^14 jiffies, and cascade through tv2 on the way down. The
+    // audited window is a full tv3 revolution (2^20 jiffies), so every
+    // outer slot index is filled afresh while the allocator is watched.
+    TimerWheel tw;
+    Rng rng(3);
+    int fired = 0;
+    auto horizon = [&] {
+        return tw.currentJiffy() + (1u << 18) + rng.range(1u << 18);
+    };
+    // Size the due-batch scratch above any batch the churn produces.
+    for (int i = 0; i < 64; ++i)
+        tw.add(1, [&fired] { ++fired; });
+    tw.advance(1);
+    std::vector<TimerWheel::TimerId> ids(512);
+    for (TimerWheel::TimerId &id : ids)
+        id = tw.add(horizon(), [&fired] { ++fired; });
+    auto churn = [&](std::uint64_t jiffies) {
+        const std::uint64_t end = tw.currentJiffy() + jiffies;
+        while (tw.currentJiffy() < end) {
+            TimerWheel::TimerId &id = ids[rng.range(ids.size())];
+            if (!tw.modify(id, horizon()))
+                id = tw.add(horizon(), [&fired] { ++fired; });
+            tw.advance(tw.currentJiffy() + 1024);
+        }
+    };
+    churn(1u << 20);   // the node slab reaches its high-water mark
+    const std::uint64_t cascadedBefore = tw.cascaded();
+    const int firedBefore = fired;
+    std::uint64_t audited;
+    {
+        AllocAuditScope scope;
+        churn(1u << 20);
+        audited = AllocAudit::disarm();
+    }
+    // The window really did move timers down through the outer levels.
+    EXPECT_GT(tw.cascaded(), cascadedBefore + 512);
+    EXPECT_GT(fired, firedBefore);
+    if (audited) dumpHist("timer wheel outer slots");
+    EXPECT_EQ(audited, 0u)
+        << "long-horizon timers hit the allocator on fresh wheel slots";
 }
 
 TEST(AllocAudit, NotraceNginxSteadyStateIsAllocationFree)

@@ -13,8 +13,9 @@
  * this test is the tripwire for the ladder-queue core.
  *
  * Two pools:
- *  - every committed fuzz reproducer in tests/corpus/*.scn, replayed
- *    through the scenario runner (invariants armed, double-run);
+ *  - every committed fuzz reproducer (the .scn files under
+ *    tests/corpus), replayed through the scenario runner (invariants
+ *    armed, double-run);
  *  - quick testbed configs shaped like the paper benches (fig3
  *    haproxy, fig4 nginx, million-conn mixed-lifetime).
  *
