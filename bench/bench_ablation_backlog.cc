@@ -38,7 +38,7 @@ main(int argc, char **argv)
         Testbed bed(cfg);
         for (const Socket *s : bed.machine().kernel().allSockets()) {
             if (s->kind == SockKind::kListen)
-                const_cast<Socket *>(s)->backlog = backlog;
+                s->listen->backlog = backlog;
         }
         ExperimentResult r = bed.run();
         json.addRow("backlog-" + std::to_string(backlog), cfg, r);

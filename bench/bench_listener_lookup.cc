@@ -31,9 +31,7 @@ BM_ListenerLookup(benchmark::State &state)
     std::vector<std::unique_ptr<Socket>> clones;
     for (int i = 0; i < chain; ++i) {
         auto s = std::make_unique<Socket>();
-        s->kind = SockKind::kListen;
-        s->bindAddr = 10;
-        s->bindPort = 80;
+        s->becomeListener(10, 80);
         table.insert(s.get());
         clones.push_back(std::move(s));
     }

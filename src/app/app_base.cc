@@ -154,8 +154,8 @@ AppBase::runLoop(std::size_t idx, Tick start)
     for (int fd : fds) {
         if (ps.listenFds.count(fd)) {
             Socket *lsock = k.sockFromFd(ps.proc, fd);
-            bool shared = lsock && !lsock->isLocalListen &&
-                          lsock->reuseportOwner < 0;
+            bool shared = lsock && !lsock->listen->isLocalListen &&
+                          lsock->listen->reuseportOwner < 0;
             if (acceptMutex_ && shared && idx != mutexHolder_) {
                 // Another process holds the accept mutex: hand the event
                 // over (flag the holder's own listen fds so it actually

@@ -177,7 +177,7 @@ class HttpLoad
     /** @} */
 
   private:
-    enum class State
+    enum class State : std::uint8_t
     {
         kSynSent,
         kWaitResponse,   //!< request out, waiting for data
@@ -186,24 +186,29 @@ class HttpLoad
         kClosing,        //!< keep-alive done: our FIN out, await server's
     };
 
+  public:
+    /** One client connection: the value of the connection table, one
+     *  per open connection, so fields are ordered widest first to pack
+     *  into 64 bytes (public for the footprint test only). */
     struct Conn
     {
-        State state = State::kSynSent;
-        FiveTuple tx;    //!< tuple of packets we send (client -> server)
-        bool gotData = false;
-        int remaining = 1;   //!< requests still to issue on this conn
         std::uint64_t epoch = 0;   //!< distinguishes timeout reuse
-        std::uint32_t cookie = 0;  //!< SYN cookie echoed to the server
-        std::uint32_t txSeq = 0;   //!< next transmit ordinal
         std::uint64_t rxResponses = 0; //!< progress marker for retx
-        int retx = 0;              //!< retransmissions so far
-        bool health = false;       //!< health probe (tiny request)
-        bool longLived = false;    //!< keep-alive multi-request conn
         Tick startTick = 0;        //!< launch time, for latency samples
         /** End-to-end trace context stamped on every packet. */
         std::uint64_t traceId = 0;
+        FiveTuple tx;    //!< tuple of packets we send (client -> server)
+        int remaining = 1;   //!< requests still to issue on this conn
+        std::uint32_t cookie = 0;  //!< SYN cookie echoed to the server
+        std::uint32_t txSeq = 0;   //!< next transmit ordinal
+        int retx = 0;              //!< retransmissions so far
+        State state = State::kSynSent;
+        bool gotData = false;
+        bool health = false;       //!< health probe (tiny request)
+        bool longLived = false;    //!< keep-alive multi-request conn
     };
 
+  private:
     static std::uint64_t key(const FiveTuple &rx);
 
     void launch();

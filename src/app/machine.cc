@@ -13,8 +13,8 @@ Machine::Machine(EventQueue &eq, Wire &wire, const MachineConfig &cfg)
         cfg_.listenIps = cfg_.cores;
 
     tracer_ = std::make_unique<Tracer>(cfg_.cores,
-                                       cfg_.traceRingCapacity);
-    tracer_->setEnabled(cfg_.traceEnabled);
+                                       cfg_.traceRingCapacity,
+                                       cfg_.traceEnabled);
 
     cache_ = std::make_unique<CacheModel>(cfg_.cores,
                                           costs_.cacheMissPenalty,

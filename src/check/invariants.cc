@@ -173,13 +173,14 @@ registerStandardInvariants(InvariantRegistry &reg, Machine &machine,
         for (const Socket *s : machine.kernel().allSockets()) {
             if (s->kind != SockKind::kListen)
                 continue;
-            if (s->acceptQueue.size() > s->backlog) {
+            const ListenState &ls = *s->listen;
+            if (ls.acceptQueue.size() > ls.backlog) {
                 char buf[128];
                 std::snprintf(buf, sizeof(buf),
                               "listener %u:%u queue depth %zu > backlog "
                               "%zu",
-                              s->bindAddr, s->bindPort,
-                              s->acceptQueue.size(), s->backlog);
+                              ls.bindAddr, ls.bindPort,
+                              ls.acceptQueue.size(), ls.backlog);
                 why = buf;
                 return false;
             }

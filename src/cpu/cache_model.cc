@@ -1,5 +1,6 @@
 #include "cpu/cache_model.hh"
 
+#include <cstdint>
 #include <numeric>
 
 #include "sim/logging.hh"
@@ -17,37 +18,38 @@ CacheModel::CacheModel(int n_cores, Tick miss_penalty, int node_size,
       accesses_(n_cores, 0),
       misses_(n_cores, 0)
 {
-    fsim_assert(n_cores > 0);
+    fsim_assert(n_cores > 0 && n_cores <= INT16_MAX);
     owner_.reserve(1 << 16);
 }
 
-std::uint64_t
+CacheObjId
 CacheModel::newObject()
 {
     if (!freeIds_.empty()) {
-        std::uint64_t id = freeIds_.back();
+        CacheObjId id = freeIds_.back();
         freeIds_.pop_back();
         owner_[id] = kInvalidCore;
         return id;
     }
+    fsim_assert(owner_.size() < kNoCacheObj);
     owner_.push_back(kInvalidCore);
-    return owner_.size() - 1;
+    return static_cast<CacheObjId>(owner_.size() - 1);
 }
 
 void
-CacheModel::freeObject(std::uint64_t id)
+CacheModel::freeObject(CacheObjId id)
 {
     fsim_assert(id < owner_.size());
     freeIds_.push_back(id);
 }
 
 Tick
-CacheModel::access(CoreId c, std::uint64_t obj, bool write, int lines)
+CacheModel::access(CoreId c, CacheObjId obj, bool write, int lines)
 {
     fsim_assert(obj < owner_.size());
     fsim_assert(c >= 0 && c < numCores());
     accesses_[c] += lines;
-    CoreId &own = owner_[obj];
+    std::int16_t &own = owner_[obj];
     if (own == c)
         return 0;
     misses_[c] += lines;
@@ -61,7 +63,7 @@ CacheModel::access(CoreId c, std::uint64_t obj, bool write, int lines)
     else
         penalty = remotePenalty_;   // cross-socket transfer
     if (write || own == kInvalidCore)
-        own = c;
+        own = static_cast<std::int16_t>(c);
     Tick stall = penalty * static_cast<Tick>(lines);
     if (tracer_)
         tracer_->noteCacheStall(c, stall);

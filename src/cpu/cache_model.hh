@@ -24,6 +24,12 @@ namespace fsim
 
 class Tracer;
 
+/** Cache object id (a socket TCB, a bucket line, a lock word). */
+using CacheObjId = std::uint32_t;
+
+/** "No cache object" (e.g.\ a lock bound without a cache model). */
+constexpr CacheObjId kNoCacheObj = ~CacheObjId{0};
+
 /** Per-machine cache coherence model and L3 statistics. */
 class CacheModel
 {
@@ -41,10 +47,20 @@ class CacheModel
                         int node_size = 0, Tick remote_penalty = 0);
 
     /** Register a new cache object (e.g.\ a socket). @return its id. */
-    std::uint64_t newObject();
+    CacheObjId newObject();
 
-    /** Recycle an object id once the owning structure is destroyed. */
-    void freeObject(std::uint64_t id);
+    /**
+     * Recycle an object id once the owning structure is destroyed. A
+     * recycled id starts over with no owner, exactly like a fresh one,
+     * so reuse order never changes what an access costs.
+     */
+    void freeObject(CacheObjId id);
+
+    /** Objects registered and not yet freed (leak checks). */
+    std::size_t liveObjects() const
+    {
+        return owner_.size() - freeIds_.size();
+    }
 
     /**
      * Access @p obj from core @p c.
@@ -53,7 +69,7 @@ class CacheModel
      * @param lines Cache lines the object spans (a TCB is several).
      * @return extra cycles caused by a remote transfer (0 on a hit).
      */
-    Tick access(CoreId c, std::uint64_t obj, bool write = true,
+    Tick access(CoreId c, CacheObjId obj, bool write = true,
                 int lines = 1);
 
     /**
@@ -96,8 +112,10 @@ class CacheModel
     int nodeSize_;
     double bgMissRate_ = 0.0;
     Tracer *tracer_ = nullptr;
-    std::vector<CoreId> owner_;
-    std::vector<std::uint64_t> freeIds_;
+    /** Owning core per object id (kInvalidCore = never touched); 16-bit
+     *  because one entry exists per live socket, lock and bucket. */
+    std::vector<std::int16_t> owner_;
+    std::vector<CacheObjId> freeIds_;
     std::vector<double> bgAccum_;
     std::vector<std::uint64_t> accesses_;
     std::vector<std::uint64_t> misses_;

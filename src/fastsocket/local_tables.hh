@@ -36,7 +36,7 @@ class LocalListenTable
     const ListenTable &table(CoreId c) const { return tables_.at(c); }
 
     /** Cache object of core @p c's table head (local by construction). */
-    std::uint64_t cacheObj(CoreId c) const { return cacheObjs_.at(c); }
+    CacheObjId cacheObj(CoreId c) const { return cacheObjs_.at(c); }
 
     int numCores() const { return static_cast<int>(tables_.size()); }
 
@@ -45,7 +45,7 @@ class LocalListenTable
 
   private:
     std::vector<ListenTable> tables_;
-    std::vector<std::uint64_t> cacheObjs_;
+    std::vector<CacheObjId> cacheObjs_;
 };
 
 /** Per-core established tables. */

@@ -279,8 +279,7 @@ FleetTestbed::buildGeneration(int s)
     if (cfg_.base.listenBacklog > 0) {
         for (const Socket *sock : g.machine->kernel().allSockets())
             if (sock->kind == SockKind::kListen)
-                const_cast<Socket *>(sock)->backlog =
-                    cfg_.base.listenBacklog;
+                sock->listen->backlog = cfg_.base.listenBacklog;
     }
 
     sl.gen = std::move(g);

@@ -64,9 +64,9 @@ struct SyscallScope
 TraceQueueId
 acceptQueueIdOf(const Socket *listener)
 {
-    if (listener->isLocalListen)
+    if (listener->listen->isLocalListen)
         return TraceQueueId::kAcceptLocal;
-    if (listener->reuseportOwner >= 0)
+    if (listener->listen->reuseportOwner >= 0)
         return TraceQueueId::kAcceptReuseport;
     return TraceQueueId::kAcceptShared;
 }
@@ -181,8 +181,9 @@ KernelStack::killProcess(int proc)
                 embryos.push_back(s);
         });
         for (Socket *s : embryos) {
-            if (s->parentListen->synQueueLen > 0)
-                --s->parentListen->synQueueLen;
+            std::size_t &syn_queue = s->parentListen->listen->synQueueLen;
+            if (syn_queue > 0)
+                --syn_queue;
             destroySocket(p.core, 0, s);
         }
     }
@@ -192,28 +193,25 @@ KernelStack::killProcess(int proc)
     // fault the Local Listen Table slow path exists for (section 3.2.1).
     for (Socket *clone : p.localListens) {
         fsim_assert(localListen_);
-        localListen_->table(clone->homeCore).remove(clone);
-        for (Socket *queued : clone->acceptQueue)
-            destroySocket(clone->homeCore, 0, queued);
-        clone->acceptQueue.clear();
-        ++stats_.socketsDestroyed;
-        arena_.destroy(clone);
+        const CoreId home = clone->listen->homeCore;
+        localListen_->table(home).remove(clone);
+        for (Socket *queued : clone->listen->acceptQueue)
+            destroySocket(home, 0, queued);
+        destroySocket(home, 0, clone);
     }
     p.localListens.clear();
 
     for (Socket *clone : p.reuseClones) {
         globalListen_.remove(clone);
-        for (Socket *queued : clone->acceptQueue)
+        for (Socket *queued : clone->listen->acceptQueue)
             destroySocket(p.core, 0, queued);
-        clone->acceptQueue.clear();
-        ++stats_.socketsDestroyed;
-        arena_.destroy(clone);
+        destroySocket(p.core, 0, clone);
     }
     p.reuseClones.clear();
 
     // Drop the process from shared listen-socket wait queues.
     for (Socket *ls : globalListen_.all()) {
-        auto &w = ls->watchers;
+        auto &w = ls->listen->watchers;
         w.erase(std::remove_if(w.begin(), w.end(),
                                [proc](const std::pair<int, int> &e) {
                                    return e.first == proc;
@@ -232,21 +230,14 @@ KernelStack::listen(int proc, IpAddr addr, Port port)
         // SO_REUSEPORT: every process inserts its own clone; NET_RX picks
         // one clone at random per SYN.
         lsock = newSocket();
-        lsock->kind = SockKind::kListen;
-        lsock->state = TcpState::kListen;
-        lsock->bindAddr = addr;
-        lsock->bindPort = port;
-        lsock->reuseportOwner = proc;
+        lsock->becomeListener(addr, port).reuseportOwner = proc;
         globalListen_.insert(lsock);
         p.reuseClones.push_back(lsock);
     } else {
         lsock = globalListen_.findExact(addr, port);
         if (!lsock) {
             lsock = newSocket();
-            lsock->kind = SockKind::kListen;
-            lsock->state = TcpState::kListen;
-            lsock->bindAddr = addr;
-            lsock->bindPort = port;
+            lsock->becomeListener(addr, port);
             globalListen_.insert(lsock);
         }
     }
@@ -257,7 +248,7 @@ KernelStack::listen(int proc, IpAddr addr, Port port)
     file->fd = fd;
     file->owner = proc;
     p.setFile(fd, file);
-    lsock->watchers.emplace_back(proc, fd);
+    lsock->listen->watchers.emplace_back(proc, fd);
     p.epoll->ctlAdd(p.core, 0, fd);
 
     if (std::find(localAddrs_.begin(), localAddrs_.end(), addr) ==
@@ -278,13 +269,10 @@ KernelStack::localListen(int proc, IpAddr addr, Port port)
         fsim_fatal("local_listen() before listen() on %u:%u", addr, port);
 
     Socket *clone = newSocket();
-    clone->kind = SockKind::kListen;
-    clone->state = TcpState::kListen;
-    clone->bindAddr = addr;
-    clone->bindPort = port;
-    clone->isLocalListen = true;
-    clone->homeCore = p.core;
-    clone->globalParent = global;
+    ListenState &ls = clone->becomeListener(addr, port);
+    ls.isLocalListen = true;
+    ls.homeCore = p.core;
+    ls.globalParent = global;
     localListen_->table(p.core).insert(clone);
     p.localListens.push_back(clone);
 
@@ -295,8 +283,8 @@ KernelStack::localListen(int proc, IpAddr addr, Port port)
         SocketFile *f = p.files[lfd];
         if (f != nullptr && f->priv == global) {
             f->priv = clone;
-            clone->watchers.emplace_back(proc, lfd);
-            auto &w = global->watchers;
+            ls.watchers.emplace_back(proc, lfd);
+            auto &w = global->listen->watchers;
             w.erase(std::remove(w.begin(), w.end(),
                                 std::make_pair(proc, lfd)),
                     w.end());
@@ -354,6 +342,7 @@ KernelStack::destroySocket(CoreId core, Tick t, Socket *sock,
                        sock->rxTuple.dport);
     }
     d_.cache->freeObject(sock->cacheObj);
+    sock->slock.releaseLine();
     ++stats_.socketsDestroyed;
     if (d_.tracer && sock->kind == SockKind::kConnection) {
         d_.tracer->emit(core, TraceEventType::kConnClosed, t,
@@ -466,8 +455,8 @@ KernelStack::armConnTimer(CoreId c, Tick t, Socket *sock,
                             // it). Reap the half-open TCB so a SYN flood
                             // cannot pin memory forever.
                             if (sock->parentListen &&
-                                sock->parentListen->synQueueLen > 0)
-                                --sock->parentListen->synQueueLen;
+                                sock->parentListen->listen->synQueueLen > 0)
+                                --sock->parentListen->listen->synQueueLen;
                             ++stats_.synRcvdReaped;
                             return destroySocket(cb_core, fire_t, sock);
                         }
@@ -536,15 +525,16 @@ Tick
 KernelStack::wakeListen(CoreId core, Tick t, Socket *listener)
 {
     const std::pair<int, int> *target = nullptr;
+    const auto &watchers = listener->listen->watchers;
 
-    if (!listener->watchers.empty()) {
-        if (listener->watchers.size() == 1) {
-            target = &listener->watchers.front();
+    if (!watchers.empty()) {
+        if (watchers.size() == 1) {
+            target = &watchers.front();
         } else {
             // Shared (baseline) listen socket: the kernel's exclusive wake
             // hands the event to an effectively arbitrary waiter.
-            std::size_t pick = d_.rng->range(listener->watchers.size());
-            target = &listener->watchers[pick];
+            std::size_t pick = d_.rng->range(watchers.size());
+            target = &watchers[pick];
         }
     } else if (localListen_) {
         // Slow path: a connection landed on the *global* listen socket
@@ -558,9 +548,10 @@ KernelStack::wakeListen(CoreId core, Tick t, Socket *listener)
             if (!p.alive)
                 continue;
             for (Socket *clone : p.localListens) {
-                if (clone->bindPort == listener->bindPort &&
-                    !clone->watchers.empty()) {
-                    target = &clone->watchers.front();
+                const ListenState &cls = *clone->listen;
+                if (cls.bindPort == listener->listen->bindPort &&
+                    !cls.watchers.empty()) {
+                    target = &cls.watchers.front();
                     break;
                 }
             }
@@ -634,7 +625,8 @@ KernelStack::synGateDrop(CoreId core, const Socket *listener)
     if (!d_.overload || !d_.overload->enabled ||
         d_.overload->synGate == 0)
         return false;
-    if (listener->acceptQueue.size() < d_.overload->synGate)
+    const std::size_t depth = listener->listen->acceptQueue.size();
+    if (depth < d_.overload->synGate)
         return false;
     // The accept queue this SYN would eventually land on is already at
     // the gate: refuse the connection *now*, before the handshake mints
@@ -647,8 +639,7 @@ KernelStack::synGateDrop(CoreId core, const Socket *listener)
     ++stats_.synGateDropped;
     if (d_.tracer)
         d_.tracer->emit(core, TraceEventType::kSynGateDrop, d_.eq->now(),
-                        static_cast<std::uint32_t>(
-                            listener->acceptQueue.size()));
+                        static_cast<std::uint32_t>(depth));
     return true;
 }
 
@@ -656,8 +647,8 @@ void
 KernelStack::noteAcceptOccupancy(const Socket *listener)
 {
     if (d_.pressure)
-        d_.pressure->noteAcceptQueue(listener->acceptQueue.size(),
-                                     listener->backlog);
+        d_.pressure->noteAcceptQueue(listener->listen->acceptQueue.size(),
+                                     listener->listen->backlog);
 }
 
 KernelStack::ListenLookup
@@ -885,7 +876,7 @@ KernelStack::handleSyn(CoreId core, const Packet &pkt, Tick t)
     if (!pkt.prio && synGateDrop(core, listener))
         return t;
 
-    if (listener->synQueueLen >= cfg_.synBacklog) {
+    if (listener->listen->synQueueLen >= cfg_.synBacklog) {
         if (!cfg_.synCookies) {
             // SYN queue full and no cookies: the kernel silently drops
             // the SYN (tcp_v4_conn_request with the request queue full).
@@ -928,7 +919,7 @@ KernelStack::handleSyn(CoreId core, const Packet &pkt, Tick t)
     const Tick lk_begin = t;
     t = listener->slock.runLocked(core, t, d_.costs->synQueueHold);
     const Tick lk_wait = listener->slock.lastWait();
-    ++listener->synQueueLen;
+    ++listener->listen->synQueueLen;
 
     t = ehashFor(core).insert(core, t, conn);
     conn->ehashHome = &ehashFor(core);
@@ -1015,7 +1006,8 @@ KernelStack::establishFromCookie(CoreId core, Socket *listener,
             sl->add(conn->id, ConnStage::kLockWait, core, lk_begin,
                     lk_begin + lk_wait, listener->slock.classTraceId());
     };
-    if (listener->acceptQueue.size() >= listener->backlog) {
+    RingQueue<Socket *> &accept_queue = listener->listen->acceptQueue;
+    if (accept_queue.size() >= listener->listen->backlog) {
         ++stats_.acceptOverflows;
         ++stats_.acceptQueueRsts;
         ++stats_.rstSent;
@@ -1030,12 +1022,12 @@ KernelStack::establishFromCookie(CoreId core, Socket *listener,
     }
     conn->acceptEnqueueTick = t;
     conn->acceptEnqueueCore = core;
-    listener->acceptQueue.push_back(conn);
+    accept_queue.push_back(conn);
     noteAcceptOccupancy(listener);
     if (d_.tracer)
         d_.tracer->emit(
             core, TraceEventType::kQueueEnqueue, t,
-            static_cast<std::uint32_t>(listener->acceptQueue.size()),
+            static_cast<std::uint32_t>(accept_queue.size()),
             static_cast<std::uint16_t>(acceptQueueIdOf(listener)));
     t = wakeListen(core, t, listener);
     record_handshake(t);
@@ -1064,8 +1056,9 @@ KernelStack::handleEstablishedPacket(CoreId core, Socket *sock,
             sock->state = TcpState::kEstablished;
             if (++stats_.establishedCurr > stats_.establishedPeak)
                 stats_.establishedPeak = stats_.establishedCurr;
-            if (sock->parentListen && sock->parentListen->synQueueLen > 0)
-                --sock->parentListen->synQueueLen;
+            if (sock->parentListen &&
+                sock->parentListen->listen->synQueueLen > 0)
+                --sock->parentListen->listen->synQueueLen;
             if (pkt.payload) {
                 sock->rxPending += pkt.payload;
                 if (pkt.has(kConnClose))
@@ -1186,7 +1179,8 @@ KernelStack::handleEstablishedPacket(CoreId core, Socket *sock,
                         llk_begin + llk_wait,
                         listener->slock.classTraceId());
         }
-        if (listener->acceptQueue.size() >= listener->backlog) {
+        RingQueue<Socket *> &accept_queue = listener->listen->acceptQueue;
+        if (accept_queue.size() >= listener->listen->backlog) {
             // Accept-queue overflow (somaxconn): reject the connection.
             ++stats_.acceptOverflows;
             ++stats_.acceptQueueRsts;
@@ -1202,12 +1196,12 @@ KernelStack::handleEstablishedPacket(CoreId core, Socket *sock,
         }
         sock->acceptEnqueueTick = t;
         sock->acceptEnqueueCore = core;
-        listener->acceptQueue.push_back(sock);
+        accept_queue.push_back(sock);
         noteAcceptOccupancy(listener);
         if (d_.tracer)
             d_.tracer->emit(
                 core, TraceEventType::kQueueEnqueue, t,
-                static_cast<std::uint32_t>(listener->acceptQueue.size()),
+                static_cast<std::uint32_t>(accept_queue.size()),
                 static_cast<std::uint16_t>(acceptQueueIdOf(listener)));
         t = wakeListen(core, t, listener);
     }
@@ -1268,26 +1262,28 @@ KernelStack::accept(int proc, Tick t, int listen_fd)
     t += d_.cache->access(core, lsock->cacheObj, /*write=*/true);
 
     Socket *conn = nullptr;
-    Socket *global = lsock->isLocalListen ? lsock->globalParent : lsock;
+    const ListenState &ls = *lsock->listen;
+    Socket *global = ls.isLocalListen ? ls.globalParent : lsock;
+    RingQueue<Socket *> &global_queue = global->listen->acceptQueue;
 
     // Section 3.2.1: the *global* accept queue is checked first (a single
     // lock-free read when empty) so slow-path connections cannot starve
     // behind the always-busy local queue.
-    if (lsock->isLocalListen && !global->acceptQueue.empty()) {
+    if (ls.isLocalListen && !global_queue.empty()) {
         lk_begin = t;
         t = global->slock.runLocked(core, t,
                                     d_.costs->acceptQueuePushHold);
         lk_wait = global->slock.lastWait();
         lk_cls = global->slock.classTraceId();
-        if (!global->acceptQueue.empty()) {
-            conn = global->acceptQueue.front();
-            global->acceptQueue.pop_front();
+        if (!global_queue.empty()) {
+            conn = global_queue.front();
+            global_queue.pop_front();
             noteAcceptOccupancy(global);
             ++stats_.slowPathAccepts;
             if (d_.tracer)
                 d_.tracer->emit(
                     core, TraceEventType::kQueueDequeue, t,
-                    static_cast<std::uint32_t>(global->acceptQueue.size()),
+                    static_cast<std::uint32_t>(global_queue.size()),
                     static_cast<std::uint16_t>(acceptQueueIdOf(global)));
         }
     }
@@ -1298,14 +1294,15 @@ KernelStack::accept(int proc, Tick t, int listen_fd)
                                    d_.costs->acceptQueuePushHold);
         lk_wait = lsock->slock.lastWait();
         lk_cls = lsock->slock.classTraceId();
-        if (!lsock->acceptQueue.empty()) {
-            conn = lsock->acceptQueue.front();
-            lsock->acceptQueue.pop_front();
+        RingQueue<Socket *> &queue = lsock->listen->acceptQueue;
+        if (!queue.empty()) {
+            conn = queue.front();
+            queue.pop_front();
             noteAcceptOccupancy(lsock);
             if (d_.tracer)
                 d_.tracer->emit(
                     core, TraceEventType::kQueueDequeue, t,
-                    static_cast<std::uint32_t>(lsock->acceptQueue.size()),
+                    static_cast<std::uint32_t>(queue.size()),
                     static_cast<std::uint16_t>(acceptQueueIdOf(lsock)));
         }
     }
@@ -1579,7 +1576,7 @@ KernelStack::close(int proc, Tick t, int fd)
 
     if (sock->kind == SockKind::kListen) {
         // Closing a listener: detach this process; destroy when unused.
-        auto &w = sock->watchers;
+        auto &w = sock->listen->watchers;
         w.erase(std::remove_if(w.begin(), w.end(),
                                [proc](const std::pair<int, int> &e) {
                                    return e.first == proc;
@@ -1679,6 +1676,16 @@ KernelStack::ehashResizes() const
     return n;
 }
 
+std::uint64_t
+KernelStack::ehashBuckets() const
+{
+    std::uint64_t n = globalEhash_->bucketCount();
+    if (localEhash_)
+        for (int c = 0; c < localEhash_->numCores(); ++c)
+            n += localEhash_->table(c).bucketCount();
+    return n;
+}
+
 std::vector<std::string>
 KernelStack::netstat() const
 {
@@ -1687,8 +1694,8 @@ KernelStack::netstat() const
         char buf[128];
         if (s->kind == SockKind::kListen) {
             std::snprintf(buf, sizeof(buf), "tcp  %-12s %u:%u",
-                          tcpStateName(s->state),
-                          s->bindAddr, s->bindPort);
+                          tcpStateName(s->state), s->listen->bindAddr,
+                          s->listen->bindPort);
         } else {
             std::snprintf(buf, sizeof(buf), "tcp  %-12s %s",
                           tcpStateName(s->state), s->rxTuple.str().c_str());

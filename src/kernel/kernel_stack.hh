@@ -294,6 +294,8 @@ class KernelStack
     std::uint64_t ehashProbesWalked() const;
     std::uint64_t ehashLookupCycles() const;
     std::uint64_t ehashResizes() const;
+    /** Buckets currently allocated. */
+    std::uint64_t ehashBuckets() const;
     /** @} */
 
     /** netstat-style dump rows: "proto state tuple". */

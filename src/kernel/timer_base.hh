@@ -31,10 +31,11 @@ class TimerBase
 {
   public:
     /** Inline capture budget for timer callbacks: the kernel's arm
-     *  sites capture [this, socket-or-bucket] (16 bytes); the headroom
-     *  is bounded by TimerWheel::kWheelCaptureMax, which must fit
-     *  [TimerBase* + one Callback]. */
-    static constexpr std::size_t kTimerCaptureMax = 32;
+     *  sites capture [this, socket-or-bucket] (16 bytes), with no
+     *  headroom, because every pending timer carries it: the wheel's
+     *  node holds TimerBase's [this, Callback] wrapper, and
+     *  TimerWheel::kWheelCaptureMax is sized to fit exactly that. */
+    static constexpr std::size_t kTimerCaptureMax = 16;
     /** Timer callback: runs in timer-SoftIRQ context on the base's core;
      *  receives (core, tick) and returns the tick after its work. */
     using Callback = InlineFn<Tick(CoreId, Tick), kTimerCaptureMax>;

@@ -21,6 +21,7 @@
 namespace fsim
 {
 
+class CacheModel;
 class Tracer;
 
 /** Aggregated statistics for one class of locks. */
@@ -38,6 +39,18 @@ struct LockClassStats
      *  Locks reach the tracer through their class row so that the many
      *  SimSpinLock::init call sites keep their signature. */
     Tracer *tracer = nullptr;
+
+    /** @name Per-class lock constants
+     *  Every instance of a class shares one cache model and one cost
+     *  pair, so they live here rather than in each lock: the first
+     *  SimSpinLock/SimRwLock::init binds them, and a later init with
+     *  different values is a fatal error. */
+    /** @{ */
+    CacheModel *cache = nullptr;
+    Tick acquireBase = 0;      //!< uncontended acquire+release cycles
+    Tick handoffStorm = 0;     //!< per-spinner cost of a contended handoff
+    bool bound = false;
+    /** @} */
 };
 
 /** Registry mapping class names to their aggregated statistics. */

@@ -8,17 +8,52 @@
 namespace fsim
 {
 
+namespace
+{
+
+/** Bind @p cls's per-class constants (first init) or check them (every
+ *  later init); returns the lock's new cache line. */
+CacheObjId
+bindClass(LockClassStats *cls, CacheModel *cache, Tick base_cost,
+          Tick handoff_storm)
+{
+    fsim_assert(cls != nullptr);
+    if (!cls->bound) {
+        cls->cache = cache;
+        cls->acquireBase = base_cost;
+        cls->handoffStorm = handoff_storm;
+        cls->bound = true;
+    } else if (cls->cache != cache || cls->acquireBase != base_cost ||
+               cls->handoffStorm != handoff_storm) {
+        fsim_fatal("lock class \"%s\" bound again with different "
+                   "constants (cache %p, base %llu, storm %llu; was "
+                   "cache %p, base %llu, storm %llu)",
+                   cls->name.c_str(), static_cast<void *>(cache),
+                   static_cast<unsigned long long>(base_cost),
+                   static_cast<unsigned long long>(handoff_storm),
+                   static_cast<void *>(cls->cache),
+                   static_cast<unsigned long long>(cls->acquireBase),
+                   static_cast<unsigned long long>(cls->handoffStorm));
+    }
+    return cache ? cache->newObject() : kNoCacheObj;
+}
+
+} // namespace
+
 void
 SimSpinLock::init(LockClassStats *cls, CacheModel *cache, Tick base_cost,
                   Tick handoff_storm)
 {
     cls_ = cls;
-    cache_ = cache;
-    baseCost_ = base_cost;
-    stormCost_ = handoff_storm;
-    if (cache_) {
-        lineId_ = cache_->newObject();
-        hasLine_ = true;
+    lineId_ = bindClass(cls, cache, base_cost, handoff_storm);
+}
+
+void
+SimSpinLock::releaseLine()
+{
+    if (lineId_ != kNoCacheObj) {
+        cls_->cache->freeObject(lineId_);
+        lineId_ = kNoCacheObj;
     }
 }
 
@@ -28,9 +63,11 @@ SimSpinLock::runLocked(CoreId c, Tick t, Tick hold)
     fsim_assert(cls_ != nullptr);
     ++cls_->acquisitions;
 
-    const int max_queue = cache_ ? cache_->numCores() : 32;
-    const Tick miss = cache_ ? cache_->missPenalty() : 0;
-    const double s0 = static_cast<double>(hold + baseCost_ + miss);
+    CacheModel *const cache = cls_->cache;
+    const Tick base_cost = cls_->acquireBase;
+    const int max_queue = cache ? cache->numCores() : 32;
+    const Tick miss = cache ? cache->missPenalty() : 0;
+    const double s0 = static_cast<double>(hold + base_cost + miss);
 
     // Demand estimate: exponentially averaged inter-acquisition gap in
     // virtual time. Coarse-task cursor skew averages out of the mean.
@@ -55,7 +92,8 @@ SimSpinLock::runLocked(CoreId c, Tick t, Tick hold)
         // — the superlinear-collapse mechanism of hot global spinlocks.
         double rho0 = std::min(1.0, s0 / mean_gap);
         double spinners = rho0 * static_cast<double>(max_queue - 1);
-        double s_eff = s0 + static_cast<double>(stormCost_) * spinners;
+        double s_eff =
+            s0 + static_cast<double>(cls_->handoffStorm) * spinners;
         double rho = s_eff / mean_gap;
         // Mean spin ~ queue-depth/2 critical sections; the queue is
         // physically bounded by the core count.
@@ -103,11 +141,11 @@ SimSpinLock::runLocked(CoreId c, Tick t, Tick hold)
 
     lastWait_ = wait;
 
-    Tick grant = t + wait + baseCost_;
+    Tick grant = t + wait + base_cost;
     // Pulling the lock word (and by extension the data it guards) from a
     // different core's cache delays the critical section further.
-    if (hasLine_)
-        grant += cache_->access(c, lineId_, /*write=*/true);
+    if (lineId_ != kNoCacheObj)
+        grant += cache->access(c, lineId_, /*write=*/true);
 
     Tick end = grant + hold;
     freeAt_ = end;
@@ -121,28 +159,23 @@ SimRwLock::init(LockClassStats *cls, CacheModel *cache, Tick base_cost,
                 Tick handoff_storm)
 {
     cls_ = cls;
-    cache_ = cache;
-    baseCost_ = base_cost;
-    stormCost_ = handoff_storm;
-    if (cache_) {
-        lineId_ = cache_->newObject();
-        hasLine_ = true;
-    }
+    lineId_ = bindClass(cls, cache, base_cost, handoff_storm);
 }
 
 Tick
 SimRwLock::contendedGrant(CoreId c, Tick t, Tick busy_until, Tick hold)
 {
-    int max_queue = cache_ ? cache_->numCores() : 32;
+    const CacheModel *cache = cls_->cache;
+    int max_queue = cache ? cache->numCores() : 32;
     if (busy_until <= t) {
         streak_ /= 2;
         return t;
     }
     ++cls_->contentions;
     streak_ = std::min(streak_ + 1, max_queue);
-    Tick storm = stormCost_ * static_cast<Tick>(streak_);
-    Tick serialized = hold + baseCost_ + storm +
-                      (cache_ ? cache_->missPenalty() : 0);
+    Tick storm = cls_->handoffStorm * static_cast<Tick>(streak_);
+    Tick serialized = hold + cls_->acquireBase + storm +
+                      (cache ? cache->missPenalty() : 0);
     Tick wait = std::min(busy_until - t,
                          serialized * static_cast<Tick>(streak_));
     cls_->waitTicks += wait;
@@ -158,9 +191,9 @@ SimRwLock::runReadLocked(CoreId c, Tick t, Tick hold)
     fsim_assert(cls_ != nullptr);
     ++cls_->acquisitions;
     Tick grant = contendedGrant(c, t, writeFreeAt_, hold);
-    grant += baseCost_;
-    if (hasLine_)
-        grant += cache_->access(c, lineId_, /*write=*/false);
+    grant += cls_->acquireBase;
+    if (lineId_ != kNoCacheObj)
+        grant += cls_->cache->access(c, lineId_, /*write=*/false);
     Tick end = grant + hold;
     readFreeAt_ = std::max(readFreeAt_, end);
     cls_->holdTicks += hold;
@@ -175,9 +208,9 @@ SimRwLock::runWriteLocked(CoreId c, Tick t, Tick hold)
     Tick grant = contendedGrant(c, t,
                                 std::max(writeFreeAt_, readFreeAt_),
                                 hold);
-    grant += baseCost_;
-    if (hasLine_)
-        grant += cache_->access(c, lineId_, /*write=*/true);
+    grant += cls_->acquireBase;
+    if (lineId_ != kNoCacheObj)
+        grant += cls_->cache->access(c, lineId_, /*write=*/true);
     Tick end = grant + hold;
     writeFreeAt_ = end;
     lastHolder_ = c;

@@ -30,14 +30,24 @@
 namespace fsim
 {
 
-/** A simulated spinlock instance belonging to a lock class. */
+/**
+ * A simulated spinlock instance belonging to a lock class.
+ *
+ * The lock keeps only its dynamic state (64 bytes): the cache model and
+ * the cost constants are per class and live on the LockClassStats row.
+ * Every socket and every ehash bucket embeds one, so this size is paid
+ * once per parked connection and once per bucket.
+ */
 class SimSpinLock
 {
   public:
     SimSpinLock() = default;
 
     /**
-     * Bind this lock to its class, cache line and cost table.
+     * Bind this lock to its class and take a cache line for it.
+     *
+     * The first init of a class fixes the class's cache model and costs;
+     * binding the class again with different values is fatal.
      *
      * @param cls Aggregated stats row (shared by the whole class).
      * @param cache Cache model; may be null for cost-free locks in tests.
@@ -45,6 +55,13 @@ class SimSpinLock
      */
     void init(LockClassStats *cls, CacheModel *cache, Tick base_cost,
               Tick handoff_storm = 150);
+
+    /**
+     * Return the lock's cache line to the cache model. Call it when the
+     * structure that embeds the lock is destroyed; the lock must not be
+     * acquired afterwards.
+     */
+    void releaseLine();
 
     /**
      * Acquire at tick @p t from core @p c for a critical section of
@@ -72,19 +89,14 @@ class SimSpinLock
 
   private:
     LockClassStats *cls_ = nullptr;
-    CacheModel *cache_ = nullptr;
-    std::uint64_t lineId_ = 0;
-    bool hasLine_ = false;
-    Tick baseCost_ = 0;
-
-    Tick stormCost_ = 0;
     Tick freeAt_ = 0;
     Tick lastWait_ = 0;
-    CoreId lastHolder_ = kInvalidCore;
     Tick lastT_ = 0;           //!< previous acquisition tick
     double gapEwma_ = 1e9;     //!< mean inter-acquisition gap estimate
     double contAccum_ = 0.0;   //!< fractional contention accumulator
     double crossEwma_ = 0.0;   //!< fraction of owner-changing acquires
+    CacheObjId lineId_ = kNoCacheObj;
+    CoreId lastHolder_ = kInvalidCore;
 };
 
 /**
@@ -96,6 +108,7 @@ class SimSpinLock
 class SimRwLock
 {
   public:
+    /** Bind like SimSpinLock::init (the constants live on @p cls). */
     void init(LockClassStats *cls, CacheModel *cache, Tick base_cost,
               Tick handoff_storm = 150);
 
@@ -106,15 +119,10 @@ class SimRwLock
     Tick runWriteLocked(CoreId c, Tick t, Tick hold);
 
   private:
-    LockClassStats *cls_ = nullptr;
-    CacheModel *cache_ = nullptr;
-    std::uint64_t lineId_ = 0;
-    bool hasLine_ = false;
-    Tick baseCost_ = 0;
-
     Tick contendedGrant(CoreId c, Tick t, Tick busy_until, Tick hold);
 
-    Tick stormCost_ = 0;
+    LockClassStats *cls_ = nullptr;
+    CacheObjId lineId_ = kNoCacheObj;
     Tick writeFreeAt_ = 0;   //!< last exclusive section end
     Tick readFreeAt_ = 0;    //!< last shared section end
     CoreId lastHolder_ = kInvalidCore;

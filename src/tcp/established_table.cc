@@ -56,6 +56,14 @@ EstablishedTable::initBucket(Bucket &b)
 }
 
 void
+EstablishedTable::releaseBucket(Bucket &b)
+{
+    b.lock.releaseLine();
+    cache_.freeObject(b.cacheObj);
+    b.cacheObj = kNoCacheObj;
+}
+
+void
 EstablishedTable::chainPushBack(Bucket &b, Socket *sock)
 {
     sock->ehashNext = nullptr;
@@ -98,6 +106,11 @@ EstablishedTable::maybeResize(CoreId, Tick t)
         buckets_.size() >= kMaxBuckets)
         return t;
 
+    // The old buckets' lines go back to the cache model before the new
+    // ones are drawn: a recycled id starts unowned like a fresh one, so
+    // the grown table costs the same and the id space stays bounded.
+    for (Bucket &b : buckets_)
+        releaseBucket(b);
     std::vector<Bucket> grown(buckets_.size() * 2);
     for (Bucket &b : grown)
         initBucket(b);

@@ -90,22 +90,25 @@ class EstablishedTable
     /** All sockets (slow; for /proc walks and leak checks in tests). */
     std::vector<Socket *> all() const;
 
-  private:
     /** Chains are intrusive (Socket::ehashNext/ehashPrev), insertion-
      *  ordered — same walk order as the vector they replaced, but
-     *  inserting into an empty bucket never allocates. */
+     *  inserting into an empty bucket never allocates. Public for the
+     *  footprint test only. */
     struct Bucket
     {
         Socket *head = nullptr;
         Socket *tail = nullptr;
         SimSpinLock lock;
-        std::uint64_t cacheObj = 0;
+        CacheObjId cacheObj = kNoCacheObj;
     };
 
+  private:
     Bucket &bucketFor(const FiveTuple &tuple);
     static void chainPushBack(Bucket &b, Socket *sock);
     static void chainUnlink(Bucket &b, Socket *sock);
     void initBucket(Bucket &b);
+    /** Return @p b's cache object and lock line to the cache model. */
+    void releaseBucket(Bucket &b);
     Tick maybeResize(CoreId c, Tick t);
 
     CacheModel &cache_;

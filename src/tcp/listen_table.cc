@@ -11,14 +11,16 @@ void
 ListenTable::insert(Socket *sock)
 {
     fsim_assert(sock->kind == SockKind::kListen);
-    buckets_[key(sock->bindAddr, sock->bindPort)].push_back(sock);
+    const ListenState &ls = *sock->listen;
+    buckets_[key(ls.bindAddr, ls.bindPort)].push_back(sock);
     ++size_;
 }
 
 bool
 ListenTable::remove(Socket *sock)
 {
-    auto it = buckets_.find(key(sock->bindAddr, sock->bindPort));
+    const ListenState &ls = *sock->listen;
+    auto it = buckets_.find(key(ls.bindAddr, ls.bindPort));
     if (it == buckets_.end())
         return false;
     auto &chain = it->second;

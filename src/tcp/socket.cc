@@ -33,6 +33,17 @@ tcpStateName(TcpState s)
     return "?";
 }
 
+ListenState &
+Socket::becomeListener(IpAddr addr, Port port)
+{
+    kind = SockKind::kListen;
+    state = TcpState::kListen;
+    listen = std::make_unique<ListenState>();
+    listen->bindAddr = addr;
+    listen->bindPort = port;
+    return *listen;
+}
+
 int
 Socket::touchedCount() const
 {

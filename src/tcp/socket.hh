@@ -5,6 +5,7 @@
  * A Socket is either a listen socket (possibly a per-core *local* listen
  * socket cloned from a global one, in Fastsocket mode) or a connection
  * socket created passively (accept path) or actively (connect path).
+ * Only listen sockets carry a ListenState.
  * Every socket carries its own slock, the per-socket spinlock that the
  * stock kernel contends on whenever SoftIRQ context (packet processing)
  * and process context (syscalls) run on different cores.
@@ -14,6 +15,7 @@
 #define FSIM_TCP_SOCKET_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,7 +32,7 @@ namespace fsim
 struct SocketFile;
 
 /** TCP connection states (RFC 793 subset exercised by the simulator). */
-enum class TcpState
+enum class TcpState : std::uint8_t
 {
     kClosed,
     kListen,
@@ -48,69 +50,95 @@ enum class TcpState
 const char *tcpStateName(TcpState s);
 
 /** Whether the socket is a listener or a connection endpoint. */
-enum class SockKind
+enum class SockKind : std::uint8_t
 {
     kListen,
     kConnection,
 };
 
-/** A socket / TCB. */
-struct Socket
-{
-    std::uint64_t id = 0;
-    SockKind kind = SockKind::kConnection;
-    TcpState state = TcpState::kClosed;
+struct Socket;
 
-    /** @name Listen sockets */
-    /** @{ */
+/**
+ * State only a listen socket has: its bind address, accept and SYN
+ * queues, and the processes waiting on it. Global listeners, their
+ * per-core Local Listen Table clones and SO_REUSEPORT clones each own
+ * one; a connection TCB carries a null pointer instead of these fields.
+ */
+struct ListenState
+{
     IpAddr bindAddr = 0;
     Port bindPort = 0;
     /** True for a per-core clone in a Local Listen Table. */
     bool isLocalListen = false;
     /** Owning core of a local listen socket (else kInvalidCore). */
     CoreId homeCore = kInvalidCore;
+    /** SO_REUSEPORT clone owner process (kLinux313 flavor). */
+    int reuseportOwner = -1;
     /** For a local listen socket: the global listen socket it clones. */
     Socket *globalParent = nullptr;
-    /** Connections that completed the handshake, awaiting accept().
-     *  A RingQueue, not a deque: a default-constructed libstdc++ deque
-     *  allocates its first block eagerly, which would charge every
-     *  arena-recycled TCB one hidden 512-byte allocation. */
+    /** Connections that completed the handshake, awaiting accept(). */
     RingQueue<Socket *> acceptQueue;
     /** Accept-queue capacity (somaxconn); overflow rejects connections. */
     std::size_t backlog = 512;
-    /** SO_REUSEPORT clone owner process (kLinux313 flavor). */
-    int reuseportOwner = -1;
     /** Embryonic (SYN_RECV) children not yet established. */
     std::size_t synQueueLen = 0;
     /** Processes watching this listen socket: (process, fd) pairs. */
     std::vector<std::pair<int, int>> watchers;
-    /** @} */
+};
 
-    /** @name Connection sockets */
-    /** @{ */
-    /** Expected tuple of *incoming* packets (saddr/sport = peer). */
-    FiveTuple rxTuple;
+/**
+ * A socket / TCB.
+ *
+ * Every parked connection pays sizeof(Socket) in the TCB arena, so
+ * listen-only state lives behind the `listen` pointer and the fields
+ * are ordered to leave no padding holes (tests/test_footprint.cc pins
+ * the size).
+ */
+struct Socket
+{
+    std::uint64_t id = 0;
+    SockKind kind = SockKind::kConnection;
+    TcpState state = TcpState::kClosed;
     /** True if created by the accept path, false for connect(). */
     bool passive = true;
-    /** Core of the application process using this connection. */
-    CoreId ownerCore = kInvalidCore;
-    /** Process using this connection (-1 before accept()). */
-    int ownerProcess = -1;
-    /** Listen socket this connection was spawned from (passive only). */
-    Socket *parentListen = nullptr;
-    /** VFS file, once attached to a process. */
-    SocketFile *file = nullptr;
-    /** Bytes received and not yet read by the application. */
-    std::uint32_t rxPending = 0;
     /** Peer sent FIN (connection is half-closed). */
     bool peerFin = false;
     /** Peer requested "Connection: close" on a data segment (the flow's
      *  last request; a keep-alive server should actively close). */
     bool peerConnClose = false;
+    /** Flow carried the packet priority mark (health/control class);
+     *  inherited from the SYN so the admission controller can classify
+     *  the connection before any payload arrives. */
+    bool prio = false;
+
+    /** Listen-socket state; null for a connection socket. */
+    std::unique_ptr<ListenState> listen;
+
+    /** Make this a listener bound to @p addr : @p port (allocates its
+     *  ListenState). */
+    ListenState &becomeListener(IpAddr addr, Port port);
+
+    /** @name Connection sockets */
+    /** @{ */
+    /** Expected tuple of *incoming* packets (saddr/sport = peer). */
+    FiveTuple rxTuple;
+    /** Core of the application process using this connection. */
+    CoreId ownerCore = kInvalidCore;
+    /** Process using this connection (-1 before accept()). */
+    int ownerProcess = -1;
+    /** Bytes received and not yet read by the application. */
+    std::uint32_t rxPending = 0;
+    /** Listen socket this connection was spawned from (passive only). */
+    Socket *parentListen = nullptr;
+    /** VFS file, once attached to a process. */
+    SocketFile *file = nullptr;
     /** Pending retransmission/keepalive timer (0 = none). */
     TimerWheel::TimerId timer = TimerWheel::kInvalidTimer;
     /** Core whose timer base holds the pending timer. */
     CoreId timerCore = kInvalidCore;
+    /** Next transmit ordinal stamped into outgoing packets (wire-fault
+     *  decisions hash it so retransmissions draw independent fates). */
+    std::uint32_t txSeqCounter = 0;
     /** Opaque application-level context. */
     void *appCtx = nullptr;
     /** Established table this socket currently lives in (null if none). */
@@ -122,9 +150,6 @@ struct Socket
      *  means fresh buckets keep appearing deep into steady state). */
     Socket *ehashNext = nullptr;
     Socket *ehashPrev = nullptr;
-    /** Next transmit ordinal stamped into outgoing packets (wire-fault
-     *  decisions hash it so retransmissions draw independent fates). */
-    std::uint32_t txSeqCounter = 0;
     /** Tick at which this connection entered its listener's accept
      *  queue; accept() derives the queue sojourn from it, which is the
      *  signal the admission controller's deadline shed keys on. */
@@ -133,21 +158,18 @@ struct Socket
      *  accept queue; span traces place the accept-queue sojourn on it
      *  (where the connection actually waited). */
     CoreId acceptEnqueueCore = kInvalidCore;
-    /** Flow carried the packet priority mark (health/control class);
-     *  inherited from the SYN so the admission controller can classify
-     *  the connection before any payload arrives. */
-    bool prio = false;
+    /** @} */
+
+    /** Cache object of the TCB itself. */
+    CacheObjId cacheObj = kNoCacheObj;
     /** Distributed trace context inherited from the SYN (or the
      *  cookie-validated ACK), like prio; stamped back onto every packet
      *  this socket transmits so the reply path carries the same
      *  end-to-end trace id the client minted. 0 = untraced. */
     std::uint64_t traceId = 0;
-    /** @} */
 
     /** Per-socket lock (the paper's "slock" row). */
     SimSpinLock slock;
-    /** Cache object of the TCB itself. */
-    std::uint64_t cacheObj = 0;
     /** Slot in the owning TcbArena (kNoArenaSlot if heap-constructed). */
     static constexpr std::uint32_t kNoArenaSlot = 0xffffffffu;
     std::uint32_t arenaSlot = kNoArenaSlot;

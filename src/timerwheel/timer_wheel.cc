@@ -11,9 +11,9 @@ TimerWheel::Node *
 TimerWheel::nodeAt(TimerId id)
 {
     const std::uint32_t idx = static_cast<std::uint32_t>(id);
-    if (idx == 0 || idx > nodes_.size())
+    if (idx == 0 || idx > nodeCount_)
         return nullptr;
-    Node &n = nodes_[idx - 1];
+    Node &n = slab(idx - 1);
     if (!n.live || n.gen != static_cast<std::uint32_t>(id >> 32))
         return nullptr;
     return &n;
@@ -23,7 +23,7 @@ void
 TimerWheel::freeNode(TimerId id)
 {
     const std::uint32_t idx = static_cast<std::uint32_t>(id) - 1;
-    Node &n = nodes_[idx];
+    Node &n = slab(idx);
     n.cb.reset();
     n.live = false;
     n.level = kDetached;
@@ -38,12 +38,13 @@ TimerWheel::add(std::uint64_t expires, Callback cb)
     std::uint32_t idx;
     if (freeHead_ != kNil) {
         idx = freeHead_;
-        freeHead_ = nodes_[idx].next;
+        freeHead_ = slab(idx).next;
     } else {
-        idx = static_cast<std::uint32_t>(nodes_.size());
-        nodes_.emplace_back();
+        idx = nodeCount_++;
+        if (idx == chunks_.size() * kChunkSize)
+            chunks_.push_back(std::make_unique<Node[]>(kChunkSize));
     }
-    Node &n = nodes_[idx];
+    Node &n = slab(idx);
     n.expires = expires;
     n.cb = std::move(cb);
     n.live = true;
@@ -90,7 +91,7 @@ TimerWheel::slotAt(std::uint8_t level, std::uint32_t index)
 void
 TimerWheel::place(std::uint32_t idx)
 {
-    Node &node = nodes_[idx];
+    Node &node = slab(idx);
     // Clamp far-future timers into the outermost level, like the kernel.
     constexpr std::uint64_t kMaxDelta =
         (1ull << (kTv1Bits + kLevels * kTvnBits)) - 1;
@@ -129,7 +130,7 @@ TimerWheel::place(std::uint32_t idx)
     node.prev = slot.tail;
     node.next = kNil;
     if (slot.tail != kNil)
-        nodes_[slot.tail].next = idx;
+        slab(slot.tail).next = idx;
     else
         slot.head = idx;
     slot.tail = idx;
@@ -139,7 +140,7 @@ TimerWheel::place(std::uint32_t idx)
 void
 TimerWheel::detach(std::uint32_t idx)
 {
-    Node &node = nodes_[idx];
+    Node &node = slab(idx);
     if (node.level == kDetached)
         return;
     Slot &slot = slotAt(node.level, node.index);
@@ -148,22 +149,22 @@ TimerWheel::detach(std::uint32_t idx)
     if (t == idx) {
         slot.tail = node.prev;
         if (node.prev != kNil)
-            nodes_[node.prev].next = kNil;
+            slab(node.prev).next = kNil;
         else
             slot.head = kNil;
     } else {
         // Move the tail node into the hole (swap-with-last order).
-        Node &moved = nodes_[t];
+        Node &moved = slab(t);
         slot.tail = moved.prev;
-        nodes_[moved.prev].next = kNil;
+        slab(moved.prev).next = kNil;
         moved.prev = node.prev;
         moved.next = node.next;
         if (moved.prev != kNil)
-            nodes_[moved.prev].next = t;
+            slab(moved.prev).next = t;
         else
             slot.head = t;
         if (moved.next != kNil)
-            nodes_[moved.next].prev = t;
+            slab(moved.next).prev = t;
         else
             slot.tail = t;
     }
@@ -181,8 +182,8 @@ TimerWheel::cascade(std::uint32_t level, std::uint32_t index)
     std::uint32_t idx = slot.head;
     slot = Slot{};
     while (idx != kNil) {
-        const std::uint32_t next = nodes_[idx].next;
-        nodes_[idx].level = kDetached;
+        const std::uint32_t next = slab(idx).next;
+        slab(idx).level = kDetached;
         place(idx);
         idx = next;
     }
@@ -210,8 +211,8 @@ TimerWheel::tickOnce()
     std::vector<TimerId> due;
     due.swap(due_);
     Slot &slot = tv1_[idx1];
-    for (std::uint32_t i = slot.head; i != kNil; i = nodes_[i].next) {
-        Node &n = nodes_[i];
+    for (std::uint32_t i = slot.head; i != kNil; i = slab(i).next) {
+        Node &n = slab(i);
         n.level = kDetached;
         due.push_back((static_cast<TimerId>(n.gen) << 32) | (i + 1));
     }

@@ -19,13 +19,16 @@
  * with millions of live connections, those grew without bound between
  * cascades.)
  *
- * Nodes live in a generation-tagged slab (a plain vector plus an
+ * Nodes live in a generation-tagged slab (fixed-size chunks plus an
  * intrusive free list) instead of a std::unordered_map: arming a timer in
  * steady state recycles a slot instead of allocating a map node, which is
  * what keeps the timer path inside the simulator's zero-allocation
- * envelope. A TimerId encodes {slab index, generation}, so a stale handle
- * (cancel of an already-fired timer whose slot was since reused) misses
- * on the generation check exactly like it used to miss in the map.
+ * envelope. The slab grows one chunk at a time, so growth never copies
+ * or relocates live nodes and never holds more than one chunk of unused
+ * capacity. A TimerId
+ * encodes {slab index, generation}, so a stale handle (cancel of an
+ * already-fired timer whose slot was since reused) misses on the
+ * generation check exactly like it used to miss in the map.
  * Callbacks are stored inline (InlineFn): the wheel's capture budget is
  * sized by TimerBase's context wrapper [this, TimerBase::Callback].
  */
@@ -34,6 +37,7 @@
 #define FSIM_TIMERWHEEL_TIMER_WHEEL_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/event_fn.hh"
@@ -46,10 +50,11 @@ class TimerWheel
 {
   public:
     /** Inline capture budget for wheel callbacks: fits TimerBase's
-     *  [this + contextful-callback] wrapper with nothing to spare —
-     *  grow TimerBase::kTimerCaptureMax first if a new arm site needs
-     *  more. */
-    static constexpr std::size_t kWheelCaptureMax = 64;
+     *  [this + contextful-callback] wrapper (8 + 32 bytes, padded to the
+     *  callback's 16-byte alignment) with nothing to spare — grow
+     *  TimerBase::kTimerCaptureMax first if a new arm site needs more.
+     *  Every pending timer pays this budget in its node. */
+    static constexpr std::size_t kWheelCaptureMax = 48;
     using Callback = InlineFn<void(), kWheelCaptureMax>;
     using TimerId = std::uint64_t;
 
@@ -109,7 +114,13 @@ class TimerWheel
     std::uint64_t cascaded() const { return cascaded_; }
 
     /** Node-slab capacity (memory visibility for scale tests). */
-    std::size_t slabCapacity() const { return nodes_.size(); }
+    std::size_t slabCapacity() const
+    {
+        return chunks_.size() * kChunkSize;
+    }
+
+    /** Nodes per slab chunk (the slab's growth step). */
+    static constexpr std::uint32_t kChunkSize = 256;
 
   private:
     /** Slot coordinates: level 0 is tv1, 1..kLevels are tvn_[level-1]. */
@@ -117,10 +128,14 @@ class TimerWheel
     /** Null node index (list ends, empty free list). */
     static constexpr std::uint32_t kNil = 0xffffffff;
 
+  public:
+    /** A timer's slab node (public for the footprint test only). The
+     *  16-byte-aligned callback leads so the fixed fields pack behind
+     *  it: 96 bytes. */
     struct Node
     {
-        std::uint64_t expires = 0;
         Callback cb;
+        std::uint64_t expires = 0;
         std::uint32_t gen = 0;
         std::uint32_t index = 0;
         std::uint32_t prev = kNil;
@@ -130,6 +145,7 @@ class TimerWheel
         bool live = false;
     };
 
+  private:
     static constexpr std::uint32_t kTv1Bits = 8;
     static constexpr std::uint32_t kTvnBits = 6;
     static constexpr std::uint32_t kTv1Size = 1u << kTv1Bits;   // 256
@@ -142,6 +158,13 @@ class TimerWheel
         std::uint32_t tail = kNil;
         std::uint32_t count = 0;
     };
+
+    /** Node at slab index @p idx. */
+    Node &
+    slab(std::uint32_t idx)
+    {
+        return chunks_[idx / kChunkSize][idx % kChunkSize];
+    }
 
     /** Slab lookup; nullptr when the handle is stale or invalid. */
     Node *nodeAt(TimerId id);
@@ -163,7 +186,10 @@ class TimerWheel
     Slot tv1_[kTv1Size];
     Slot tvn_[kLevels][kTvnSize];
 
-    std::vector<Node> nodes_;
+    /** Node slab: chunks of kChunkSize nodes; indices below nodeCount_
+     *  have been handed out at least once. */
+    std::vector<std::unique_ptr<Node[]>> chunks_;
+    std::uint32_t nodeCount_ = 0;
     std::uint32_t freeHead_ = kNil;
     /** Due-batch scratch (capacity reused across ticks; swapped into a
      *  local during use so reentrant advance stays safe). */

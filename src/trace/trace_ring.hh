@@ -28,7 +28,13 @@ class TraceRing
 {
   public:
     explicit TraceRing(std::size_t capacity)
-        : buf_(capacity), mask_(capacity - 1)
+        : buf_(checkCapacity(capacity)), mask_(capacity - 1)
+    {
+    }
+
+    /** Fatal unless @p capacity is a power of two; returns it. */
+    static std::size_t
+    checkCapacity(std::size_t capacity)
     {
         if (capacity == 0 || (capacity & (capacity - 1)) != 0)
             fsim_fatal(
@@ -36,6 +42,7 @@ class TraceRing
                 "trace emit indexes the ring with a mask. Round "
                 "machine.traceRingCapacity up to a power of two.",
                 capacity);
+        return capacity;
     }
 
     /** Record @p ev, overwriting the oldest event when full. */

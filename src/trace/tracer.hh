@@ -6,7 +6,9 @@
  * branch-cheap and allocation-free, so instrumentation stays enabled in
  * every run; components reached through long init chains (locks, epoll,
  * VFS) find the tracer through the LockRegistry instead of growing their
- * constructor signatures.
+ * constructor signatures. The rings are allocated the first time the
+ * tracer is enabled, so a machine that never traces never pays for
+ * them.
  */
 
 #ifndef FSIM_TRACE_TRACER_HH
@@ -33,15 +35,13 @@ class Tracer
     static constexpr std::size_t kDefaultRingCapacity = 8192;
 
     explicit Tracer(int n_cores,
-                    std::size_t ring_capacity = kDefaultRingCapacity);
+                    std::size_t ring_capacity = kDefaultRingCapacity,
+                    bool enabled = true);
 
-    /** Master switch; rings, phase charges and the span log honor it. */
-    void
-    setEnabled(bool on)
-    {
-        enabled_ = on;
-        spans_.setEnabled(on);
-    }
+    /** Master switch; rings, phase charges and the span log honor it.
+     *  The first enable allocates the rings; a later disable keeps
+     *  them (and what they recorded). */
+    void setEnabled(bool on);
     bool enabled() const { return enabled_; }
 
     /** Record an event into core @p c's ring. */
@@ -104,8 +104,9 @@ class Tracer
             phases_.charge(c, Phase::kCacheStall, cycles);
     }
 
-    const TraceRing &ring(CoreId c) const { return rings_.at(c); }
-    int numCores() const { return static_cast<int>(rings_.size()); }
+    /** Core @p c's ring (an empty one if tracing was never enabled). */
+    const TraceRing &ring(CoreId c) const;
+    int numCores() const { return numCores_; }
 
     PhaseSnapshot phaseSnapshot() const { return phases_.snapshot(); }
     const PhaseAccounting &phases() const { return phases_; }
@@ -122,7 +123,10 @@ class Tracer
     const ConnSpanLog &connSpans() const { return spans_; }
 
   private:
-    bool enabled_ = true;
+    int numCores_;
+    std::size_t ringCapacity_;
+    bool enabled_ = false;
+    /** One per core once tracing has been enabled, else empty. */
     std::vector<TraceRing> rings_;
     PhaseAccounting phases_;
     ConnSpanLog spans_;

@@ -193,7 +193,7 @@ inline ReferenceTestbed::ReferenceTestbed(const ExperimentConfig &cfg)
     if (cfg_.listenBacklog > 0) {
         for (const Socket *s : machine_->kernel().allSockets())
             if (s->kind == SockKind::kListen)
-                const_cast<Socket *>(s)->backlog = cfg_.listenBacklog;
+                s->listen->backlog = cfg_.listenBacklog;
     }
 
     if (cfg_.checkLevel != CheckLevel::kOff) {

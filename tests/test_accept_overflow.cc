@@ -76,18 +76,19 @@ TEST_F(OverflowFixture, OverflowDestroysSocketAndConserves)
     int proc = k.addProcess(0);
     int lfd = k.listen(proc, srv(), 80);
     Socket *lsock = k.sockFromFd(proc, lfd);
-    lsock->backlog = 3;
+    lsock->listen->backlog = 3;
 
     flood(10);
     const KernelStats &ks = k.stats();
     EXPECT_EQ(ks.acceptOverflows, 7u);
     EXPECT_EQ(ks.rstSent, 7u);
     EXPECT_EQ(rstSeen, 7u);
-    EXPECT_EQ(lsock->acceptQueue.size(), 3u);
+    EXPECT_EQ(lsock->listen->acceptQueue.size(), 3u);
     // Every overflowed TCB was destroyed, none leaked.
     EXPECT_EQ(ks.socketsCreated, ks.socketsDestroyed + k.liveSockets());
     // Queue never exceeds the bound mid-flood either.
-    EXPECT_LE(lsock->acceptQueue.size(), lsock->backlog);
+    EXPECT_LE(lsock->listen->acceptQueue.size(),
+              lsock->listen->backlog);
 }
 
 TEST_F(OverflowFixture, QueuedConnectionsStillAcceptAfterOverflow)
@@ -96,7 +97,7 @@ TEST_F(OverflowFixture, QueuedConnectionsStillAcceptAfterOverflow)
     KernelStack &k = m->kernel();
     int proc = k.addProcess(0);
     int lfd = k.listen(proc, srv(), 80);
-    k.sockFromFd(proc, lfd)->backlog = 2;
+    k.sockFromFd(proc, lfd)->listen->backlog = 2;
 
     flood(5);
     // The two queued survivors are intact and accept()-able.
@@ -118,14 +119,14 @@ TEST_F(OverflowFixture, ReuseportCloneOverflowsIndependently)
     int p1 = k.addProcess(1);
     int l0 = k.listen(p0, srv(), 80);
     int l1 = k.listen(p1, srv(), 80);
-    k.sockFromFd(p0, l0)->backlog = 1;
-    k.sockFromFd(p1, l1)->backlog = 1;
+    k.sockFromFd(p0, l0)->listen->backlog = 1;
+    k.sockFromFd(p1, l1)->listen->backlog = 1;
 
     flood(40);
     const KernelStats &ks = k.stats();
     // Both clones saturate at one queued connection; the rest bounce.
-    EXPECT_EQ(k.sockFromFd(p0, l0)->acceptQueue.size() +
-                  k.sockFromFd(p1, l1)->acceptQueue.size(),
+    EXPECT_EQ(k.sockFromFd(p0, l0)->listen->acceptQueue.size() +
+                  k.sockFromFd(p1, l1)->listen->acceptQueue.size(),
               2u);
     EXPECT_EQ(ks.acceptOverflows, 38u);
     EXPECT_EQ(ks.socketsCreated, ks.socketsDestroyed + k.liveSockets());
@@ -144,7 +145,7 @@ TEST_F(OverflowFixture, FastsocketLocalListenOverflows)
     // Shrink every listen socket (global + local clones).
     for (const Socket *s : k.allSockets())
         if (s->kind == SockKind::kListen)
-            const_cast<Socket *>(s)->backlog = 2;
+            s->listen->backlog = 2;
 
     flood(30);
     const KernelStats &ks = k.stats();
@@ -152,7 +153,8 @@ TEST_F(OverflowFixture, FastsocketLocalListenOverflows)
     EXPECT_EQ(ks.socketsCreated, ks.socketsDestroyed + k.liveSockets());
     for (const Socket *s : k.allSockets()) {
         if (s->kind == SockKind::kListen) {
-            EXPECT_LE(s->acceptQueue.size(), s->backlog);
+            EXPECT_LE(s->listen->acceptQueue.size(),
+                      s->listen->backlog);
         }
     }
     (void)l0;
@@ -187,7 +189,7 @@ TEST(TestbedOverflow, BacklogOverrideIsApplied)
     Testbed bed(cfg);
     for (const Socket *s : bed.machine().kernel().allSockets()) {
         if (s->kind == SockKind::kListen) {
-            EXPECT_EQ(s->backlog, 7u);
+            EXPECT_EQ(s->listen->backlog, 7u);
         }
     }
 }

@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "harness/experiment.hh"
 #include "sim/alloc_audit.hh"
@@ -37,6 +38,7 @@
 #include "sim/rng.hh"
 #include "timerwheel/timer_wheel.hh"
 #include "trace/conn_span.hh"
+#include "trace/tracer.hh"
 
 // ---------------------------------------------------------------------
 // Global counting allocator hook. Forwarding to malloc keeps ASan's
@@ -316,6 +318,77 @@ TEST(AllocAudit, TimerWheelFreshOuterSlotsAreAllocationFree)
     if (audited) dumpHist("timer wheel outer slots");
     EXPECT_EQ(audited, 0u)
         << "long-horizon timers hit the allocator on fresh wheel slots";
+}
+
+TEST(AllocAudit, TimerWheelSlabAllocatesOnlyAtNewHighWaterMarks)
+{
+    // The node slab grows one fixed-size chunk at a time: an add that
+    // fits the chunks already held never allocates, an add that needs
+    // a new chunk allocates the chunk (plus, at powers of two, the
+    // chunk table), and once the wheel has held N timers any later
+    // population up to N is allocation-free.
+    constexpr std::uint32_t kChunk = TimerWheel::kChunkSize;
+    constexpr std::uint32_t kTimers = 4 * kChunk + 7;
+    TimerWheel tw;
+    std::vector<TimerWheel::TimerId> ids;
+    ids.reserve(kTimers);
+    int growths = 0;
+    for (std::uint32_t i = 0; i < kTimers; ++i) {
+        const std::size_t cap = tw.slabCapacity();
+        std::uint64_t audited;
+        {
+            AllocAuditScope scope;
+            ids.push_back(tw.add(1000 + i, [] {}));
+            audited = AllocAudit::disarm();
+        }
+        if (tw.slabCapacity() == cap) {
+            ASSERT_EQ(audited, 0u) << "add " << i << " inside a chunk";
+        } else {
+            ++growths;
+            ASSERT_EQ(tw.slabCapacity(), cap + kChunk) << "add " << i;
+            ASSERT_GE(audited, 1u);
+            ASSERT_LE(audited, 2u) << "a chunk, at most one table growth";
+        }
+    }
+    EXPECT_EQ(growths, 5);
+
+    for (TimerWheel::TimerId id : ids)
+        tw.cancel(id);
+    std::uint64_t audited;
+    {
+        AllocAuditScope scope;
+        for (std::uint32_t i = 0; i < kTimers; ++i)
+            tw.add(2000 + i, [] {});
+        audited = AllocAudit::disarm();
+    }
+    if (audited) dumpHist("timer slab refill");
+    EXPECT_EQ(audited, 0u) << "refilling to the high-water mark allocated";
+    EXPECT_EQ(tw.slabCapacity(), 5u * kChunk);
+}
+
+TEST(AllocAudit, DisabledTracerAllocatesNoRings)
+{
+    // A machine built with tracing off must not carry the per-core
+    // event rings (8192 events x 16 B per core); enabling it later
+    // allocates them.
+    constexpr int kCores = 24;
+    const std::uint64_t ringBytes =
+        kCores * Tracer::kDefaultRingCapacity * sizeof(TraceEvent);
+    std::uint64_t offBytes;
+    {
+        AllocAuditScope scope;
+        Tracer tr(kCores, Tracer::kDefaultRingCapacity, /*enabled=*/false);
+        offBytes = AllocAudit::allocBytes();
+    }
+    EXPECT_LT(offBytes, ringBytes / 8);
+    Tracer tr(kCores, Tracer::kDefaultRingCapacity, /*enabled=*/false);
+    std::uint64_t enableBytes;
+    {
+        AllocAuditScope scope;
+        tr.setEnabled(true);
+        enableBytes = AllocAudit::allocBytes();
+    }
+    EXPECT_GE(enableBytes, ringBytes);
 }
 
 TEST(AllocAudit, NotraceNginxSteadyStateIsAllocationFree)

@@ -229,7 +229,7 @@ TEST_F(KernelFixture, BacklogOverflowRejectsWithRst)
     int proc = k.addProcess(0);
     int lfd = k.listen(proc, srv(), 80);
     Socket *lsock = k.sockFromFd(proc, lfd);
-    lsock->backlog = 2;
+    lsock->listen->backlog = 2;
 
     for (Port sp = 20000; sp < 20005; ++sp) {
         FiveTuple t{kClientIp, srv(), sp, 80};
@@ -237,7 +237,7 @@ TEST_F(KernelFixture, BacklogOverflowRejectsWithRst)
     }
     EXPECT_EQ(k.stats().acceptOverflows, 3u);
     EXPECT_TRUE(clientSaw(kRst));
-    EXPECT_EQ(lsock->acceptQueue.size(), 2u);
+    EXPECT_EQ(lsock->listen->acceptQueue.size(), 2u);
 }
 
 TEST_F(KernelFixture, ActiveConnectHandshake)
@@ -298,10 +298,14 @@ TEST_F(KernelFixture, SlowPathSurvivesProcessCrash)
     int lfd0 = k.listen(p0, srv(), 80);
     (void)lfd0;
     int lfd1 = k.listen(p1, srv(), 80);
-    k.localListen(p0, srv(), 80);
     k.localListen(p1, srv(), 80);
+    const std::size_t objects = m->cache().liveObjects();
+    k.localListen(p0, srv(), 80);
+    EXPECT_EQ(m->cache().liveObjects(), objects + 2) << "TCB + slock line";
 
     k.killProcess(p0);
+    EXPECT_EQ(m->cache().liveObjects(), objects)
+        << "the dead clone's cache lines must be freed";
 
     FiveTuple t = tupleForQueue(0);   // lands on the dead process's core
     send(t, kSyn);
@@ -317,6 +321,21 @@ TEST_F(KernelFixture, SlowPathSurvivesProcessCrash)
     ASSERT_NE(r.sock, nullptr);
     EXPECT_EQ(k.stats().slowPathAccepts, 1u);
     EXPECT_EQ(r.sock->state, TcpState::kEstablished);
+}
+
+TEST_F(KernelFixture, CrashFreesReuseportCloneCacheLines)
+{
+    build(KernelConfig::linux313(), 2);
+    KernelStack &k = m->kernel();
+    int p0 = k.addProcess(0);
+    int p1 = k.addProcess(1);
+    k.listen(p1, srv(), 80);
+    const std::size_t objects = m->cache().liveObjects();
+    k.listen(p0, srv(), 80);
+    k.killProcess(p0);
+    // The clone's TCB and slock lines are gone; its listen file stays
+    // with the dead process's fd table.
+    EXPECT_EQ(m->cache().liveObjects(), objects + 1);
 }
 
 TEST_F(KernelFixture, FastPathUsesLocalTableWhenHealthy)
@@ -354,7 +373,9 @@ TEST_F(KernelFixture, ReuseportCreatesPerProcessClones)
     // The connection sits in exactly one clone's queue.
     Socket *l0 = k.sockFromFd(p0, 3);
     Socket *l1 = k.sockFromFd(p1, 3);
-    EXPECT_EQ(l0->acceptQueue.size() + l1->acceptQueue.size(), 1u);
+    EXPECT_EQ(l0->listen->acceptQueue.size() +
+                  l1->listen->acceptQueue.size(),
+              1u);
     EXPECT_NE(l0, l1);
 }
 

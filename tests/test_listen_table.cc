@@ -21,10 +21,7 @@ std::unique_ptr<Socket>
 listener(IpAddr addr, Port port)
 {
     auto s = std::make_unique<Socket>();
-    s->kind = SockKind::kListen;
-    s->state = TcpState::kListen;
-    s->bindAddr = addr;
-    s->bindPort = port;
+    s->becomeListener(addr, port);
     return s;
 }
 
@@ -81,7 +78,7 @@ TEST(ListenTable, ReuseportChainWalkIsOrderN)
     std::vector<std::unique_ptr<Socket>> clones;
     for (int i = 0; i < 24; ++i) {
         clones.push_back(listener(10, 80));
-        clones.back()->reuseportOwner = i;
+        clones.back()->listen->reuseportOwner = i;
         t.insert(clones.back().get());
     }
     auto l = t.lookup(10, 80, rng);
@@ -99,12 +96,12 @@ TEST(ListenTable, ReuseportPickIsRoughlyUniform)
     std::vector<std::unique_ptr<Socket>> clones;
     for (int i = 0; i < 8; ++i) {
         clones.push_back(listener(10, 80));
-        clones.back()->reuseportOwner = i;
+        clones.back()->listen->reuseportOwner = i;
         t.insert(clones.back().get());
     }
     std::map<int, int> picks;
     for (int i = 0; i < 8000; ++i)
-        ++picks[t.lookup(10, 80, rng).sock->reuseportOwner];
+        ++picks[t.lookup(10, 80, rng).sock->listen->reuseportOwner];
     ASSERT_EQ(picks.size(), 8u);
     for (auto &kv : picks)
         EXPECT_NEAR(kv.second, 1000, 150);

@@ -169,6 +169,47 @@ TEST(TimerWheel, NonZeroStartJiffy)
     EXPECT_TRUE(fired);
 }
 
+/** A callback capture that counts how often it is copied or moved. */
+struct RelocationProbe
+{
+    static inline int relocations = 0;
+    int *fires;
+
+    explicit RelocationProbe(int *f) : fires(f) {}
+    RelocationProbe(const RelocationProbe &o) : fires(o.fires)
+    {
+        ++relocations;
+    }
+    RelocationProbe(RelocationProbe &&o) noexcept : fires(o.fires)
+    {
+        ++relocations;
+    }
+    RelocationProbe &operator=(const RelocationProbe &) = delete;
+
+    void operator()() const { ++*fires; }
+};
+
+TEST(TimerWheel, SlabGrowthNeverRelocatesPendingCallbacks)
+{
+    // A doubling vector moves every pending node when it grows; the
+    // chunked slab adds a chunk and leaves live nodes where they are.
+    // So every add costs the same number of callback moves (those of
+    // the new timer's own handoff), however many timers are pending.
+    TimerWheel tw;
+    int fires = 0;
+    int perAdd = -1;
+    for (std::uint32_t i = 0; i < 3 * TimerWheel::kChunkSize + 1; ++i) {
+        RelocationProbe probe(&fires);
+        RelocationProbe::relocations = 0;
+        tw.add(10 + i % 200, probe);
+        if (perAdd < 0)
+            perAdd = RelocationProbe::relocations;
+        ASSERT_EQ(RelocationProbe::relocations, perAdd) << "add " << i;
+    }
+    tw.advance(1000);
+    EXPECT_EQ(fires, static_cast<int>(3 * TimerWheel::kChunkSize + 1));
+}
+
 TEST(TimerWheelScale, MillionArmedTimersAllFireOnce)
 {
     // bench_million_conn arms one keepalive timer per parked connection:

@@ -11,8 +11,12 @@
  * armed in same-expiry groups, and their callbacks cancel or re-arm
  * other members of their own due batch and arm new timers. After every
  * operation both wheels must agree on the firing sequence, the handles
- * they return, pending(), cascaded() and currentJiffy(), and
- * slotEntries() must equal pending().
+ * (TimerId values) they return, pending(), cascaded() and
+ * currentJiffy(), and slotEntries() must equal pending(). Handles are
+ * kept after their timer fires or is cancelled, so cancel() and
+ * modify() also replay stale handles whose slab slot was reused. The
+ * chunked slab must hold exactly the reference's high-water node count
+ * rounded up to one chunk.
  */
 
 #include <gtest/gtest.h>
@@ -180,9 +184,17 @@ TEST_P(TimerWheelDiff, MatchesReference)
         ASSERT_EQ(cut.wheel.slotEntries(), cut.wheel.pending())
             << "op " << op << " seed " << seed;
     }
+    // Every live tag's handle still names the same slab slot and
+    // generation in both wheels.
+    ASSERT_EQ(ref.ids, cut.ids);
+    const std::size_t chunk = TimerWheel::kChunkSize;
+    EXPECT_EQ(cut.wheel.slabCapacity(),
+              (ref.wheel.slabCapacity() + chunk - 1) / chunk * chunk);
     // The streams must have exercised what they claim to.
     EXPECT_GT(cut.log.size(), 10'000u);
     EXPECT_GT(cut.wheel.cascaded(), 1'000u);
+    EXPECT_GT(cut.wheel.slabCapacity(), 4 * chunk)
+        << "handles must span several slab chunks";
 }
 
 INSTANTIATE_TEST_SUITE_P(

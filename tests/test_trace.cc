@@ -187,6 +187,25 @@ TEST(Tracer, NoteLockSpinEmitsEventPairAndCharges)
     EXPECT_EQ(s.perCore[0][static_cast<int>(Phase::kSoftirq)], 175u);
 }
 
+TEST(Tracer, RingsAreAllocatedOnFirstEnable)
+{
+    Tracer tr(2, 16, /*enabled=*/false);
+    tr.emit(1, TraceEventType::kConnEstablished, 5);
+    EXPECT_EQ(tr.numCores(), 2);
+    EXPECT_EQ(tr.ring(1).size(), 0u);
+    EXPECT_EQ(tr.eventsRecorded(), 0u);
+    EXPECT_EQ(tr.eventsOverwritten(1), 0u);
+
+    tr.setEnabled(true);
+    tr.emit(1, TraceEventType::kConnEstablished, 10);
+    EXPECT_EQ(tr.ring(1).capacity(), 16u);
+    ASSERT_EQ(tr.ring(1).size(), 1u);
+    EXPECT_EQ(tr.ring(1).at(0).tick, 10u);
+
+    tr.setEnabled(false);
+    EXPECT_EQ(tr.ring(1).size(), 1u) << "a disable keeps what was recorded";
+}
+
 TEST(Tracer, DisabledTracerRecordsNothing)
 {
     Tracer tr(2, 16);
