@@ -400,12 +400,13 @@ struct ExperimentResult
     std::vector<std::pair<std::string, std::uint64_t>> foldedStacks;
     /** Per-window lockstat deltas (cfg.statWindows sub-windows). */
     std::vector<LockWindow> lockWindows;
-    /** Accept/backlog queue-depth timelines, keyed by queue name. */
+    /** Accept/backlog queue-depth timelines over the window, keyed by
+     *  queue name (decimated: see QueueDepthRecorder). */
     std::map<std::string, std::vector<QueueSample>> queueTimelines;
+    /** Queue-depth notes taken over the whole run, and how many of
+     *  them the recorders' decimation dropped. */
     std::uint64_t traceEventsRecorded = 0;
     std::uint64_t traceEventsOverwritten = 0;
-    /** Ring-overflow attribution: events overwritten, per core. */
-    std::vector<std::uint64_t> traceOverwrittenPerCore;
     /** Per-connection span forensics over the measurement window
      *  (stage latency percentiles + tail exemplars; enabled=false when
      *  tracing is off). */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <string>
 
 #include "check/fingerprint.hh"
@@ -1151,11 +1150,8 @@ FleetTestbed::collect()
             combined.folded[kv.first] += kv.second;
         combined.untracked += d.untracked;
 
-        r.traceEventsRecorded += m.tracer().eventsRecorded();
-        r.traceEventsOverwritten += m.tracer().eventsOverwritten();
-        for (int c = 0; c < m.numCores(); ++c)
-            r.traceOverwrittenPerCore.push_back(
-                m.tracer().eventsOverwritten(c));
+        r.traceEventsRecorded += m.tracer().depthNotes();
+        r.traceEventsOverwritten += m.tracer().depthNotesDropped();
         if (!cfg_.base.machine.traceEnabled) {
             fsim_assert(m.tracer().connSpans().allocations() == 0 &&
                         "span tracing allocated with tracing disabled");
@@ -1181,25 +1177,16 @@ FleetTestbed::collect()
     r.foldedStacks = foldedStacks(combined);
 
     if (!tiered()) {
-        // Per-machine forensics over the window: ring-derived queue
+        // Per-machine forensics over the window: queue-depth
         // timelines, connection span stages, plus the raw traces when
         // the caller wants to export them (Perfetto).
         const Tracer &tr = machine(0).tracer();
-        for (int q = 0;
-             q <= static_cast<int>(TraceQueueId::kProcessBacklog); ++q) {
+        for (int q = 0; q < kNumTraceQueues; ++q) {
             auto qid = static_cast<TraceQueueId>(q);
             std::vector<QueueSample> tl =
-                queueTimeline(tr, qid, /*max_samples=*/512);
+                queueTimeline(tr, qid, markTick_, eq_->now());
             if (!tl.empty())
                 r.queueTimelines[traceQueueName(qid)] = std::move(tl);
-        }
-        if (r.traceEventsOverwritten > 0) {
-            std::fprintf(stderr,
-                         "warning: trace ring overflow: %llu events "
-                         "overwritten (oldest window events lost; raise "
-                         "machine.traceRingCapacity)\n",
-                         static_cast<unsigned long long>(
-                             r.traceEventsOverwritten));
         }
         r.spanForensics =
             buildSpanForensics(tr.connSpans(), spanCompletedMark_);

@@ -312,7 +312,7 @@ class KernelStack
     /** True if the SoftIRQ backlog budget says to drop a packet bound
      *  for @p core (accounts the drop and feeds the pressure state). */
     bool softirqBudgetDrop(CoreId core);
-    bool synGateDrop(CoreId core, const Socket *listener);
+    bool synGateDrop(const Socket *listener);
 
     /** Feed @p listener's accept-queue occupancy to the pressure sink. */
     void noteAcceptOccupancy(const Socket *listener);

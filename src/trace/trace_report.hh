@@ -3,7 +3,7 @@
  * Report generators over trace data: per-core phase breakdown tables
  * (the paper's Figure 5 / Table 1 analysis for any bench), folded-stack
  * output consumable by standard flamegraph tooling, and queue-depth
- * timelines recovered from the event rings.
+ * timelines cut from the tracer's depth recorders.
  */
 
 #ifndef FSIM_TRACE_TRACE_REPORT_HH
@@ -51,22 +51,14 @@ TextTable phaseBreakdownTable(const PhaseBreakdown &b);
 std::vector<std::pair<std::string, std::uint64_t>> foldedStacks(
     const PhaseSnapshot &d);
 
-/** One queue-depth observation recovered from the rings. */
-struct QueueSample
-{
-    Tick tick = 0;
-    std::uint32_t depth = 0;
-    TraceQueueId queue = TraceQueueId::kAcceptShared;
-};
-
 /**
- * Depth timeline of @p queue across all cores, oldest first. Covers
- * whatever the rings retain (overwrite mode keeps the newest window).
- * Pass @p max_samples to downsample long timelines evenly.
+ * Depth timeline of @p queue: the recorder's samples with ticks in
+ * [@p from, @p to], oldest first. At most QueueDepthRecorder::kCapacity
+ * samples, evenly spaced over the run.
  */
 std::vector<QueueSample> queueTimeline(const Tracer &tracer,
-                                       TraceQueueId queue,
-                                       std::size_t max_samples = 0);
+                                       TraceQueueId queue, Tick from,
+                                       Tick to);
 
 } // namespace fsim
 

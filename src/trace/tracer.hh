@@ -1,62 +1,106 @@
 /**
  * @file
- * The per-machine tracer: the simulator's perf + ftrace + /proc/lockstat.
+ * The per-machine tracer: the simulator's perf + /proc/lockstat.
  *
- * Owns one TraceRing per core and the PhaseAccounting layer. Emission is
+ * Owns the PhaseAccounting layer, the connection span log and one
+ * fixed-size depth recorder per sampled kernel queue. Every hook is
  * branch-cheap and allocation-free, so instrumentation stays enabled in
  * every run; components reached through long init chains (locks, epoll,
  * VFS) find the tracer through the LockRegistry instead of growing their
- * constructor signatures. The rings are allocated the first time the
- * tracer is enabled, so a machine that never traces never pays for
- * them.
+ * constructor signatures. The depth recorders are allocated the first
+ * time the tracer is enabled, so a machine that never traces never pays
+ * for them.
  */
 
 #ifndef FSIM_TRACE_TRACER_HH
 #define FSIM_TRACE_TRACER_HH
 
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/types.hh"
 #include "trace/conn_span.hh"
 #include "trace/phase_accounting.hh"
 #include "trace/trace_event.hh"
-#include "trace/trace_ring.hh"
 
 namespace fsim
 {
+
+/** One queue-depth observation. */
+struct QueueSample
+{
+    Tick tick = 0;
+    std::uint32_t depth = 0;
+    TraceQueueId queue = TraceQueueId::kAcceptShared;
+};
+
+/**
+ * Depth samples of one queue over a whole run, in a fixed buffer.
+ *
+ * Keeps every stride-th note. When the buffer is full it keeps every
+ * other sample and doubles the stride, so the samples held are always
+ * evenly spaced (by note count) over everything noted so far, and the
+ * same note stream always keeps the same samples.
+ */
+class QueueDepthRecorder
+{
+  public:
+    /** Most samples one queue keeps. */
+    static constexpr std::size_t kCapacity = 512;
+
+    /** Allocate the buffer (idempotent; the only allocation). */
+    void allocate() { samples_.reserve(kCapacity); }
+
+    void
+    note(TraceQueueId queue, Tick tick, std::uint32_t depth)
+    {
+        const std::uint64_t i = noted_++;
+        if ((i & (stride_ - 1)) != 0)
+            return;
+        if (samples_.size() == kCapacity) {
+            for (std::size_t k = 0; k < kCapacity / 2; ++k)
+                samples_[k] = samples_[2 * k];
+            samples_.resize(kCapacity / 2);
+            stride_ *= 2;
+        }
+        samples_.push_back(QueueSample{tick, depth, queue});
+    }
+
+    /** Kept samples, in note order. */
+    const std::vector<QueueSample> &samples() const { return samples_; }
+    /** Notes taken. */
+    std::uint64_t noted() const { return noted_; }
+    /** Notes the decimation dropped (noted - kept). */
+    std::uint64_t dropped() const { return noted_ - samples_.size(); }
+    /** Notes per kept sample (a power of two). */
+    std::uint64_t stride() const { return stride_; }
+
+  private:
+    std::vector<QueueSample> samples_;
+    std::uint64_t noted_ = 0;
+    std::uint64_t stride_ = 1;
+};
 
 /** Per-machine trace subsystem. */
 class Tracer
 {
   public:
-    /** Default per-core ring capacity (events). */
-    static constexpr std::size_t kDefaultRingCapacity = 8192;
+    explicit Tracer(int n_cores, bool enabled = true);
 
-    explicit Tracer(int n_cores,
-                    std::size_t ring_capacity = kDefaultRingCapacity,
-                    bool enabled = true);
-
-    /** Master switch; rings, phase charges and the span log honor it.
-     *  The first enable allocates the rings; a later disable keeps
-     *  them (and what they recorded). */
+    /** Master switch; depth notes, phase charges and the span log honor
+     *  it. The first enable allocates the depth recorders; a later
+     *  disable keeps them (and what they recorded). */
     void setEnabled(bool on);
     bool enabled() const { return enabled_; }
 
-    /** Record an event into core @p c's ring. */
+    /** Record that @p queue holds @p depth entries at @p tick. */
     void
-    emit(CoreId c, TraceEventType type, Tick tick, std::uint32_t arg = 0,
-         std::uint16_t id = 0)
+    noteQueueDepth(TraceQueueId queue, Tick tick, std::size_t depth)
     {
-        if (!enabled_)
-            return;
-        TraceEvent ev;
-        ev.tick = tick;
-        ev.arg = arg;
-        ev.id = id;
-        ev.type = type;
-        rings_[c].push(ev);
+        if (enabled_)
+            queues_[static_cast<int>(queue)].note(
+                queue, tick, static_cast<std::uint32_t>(depth));
     }
 
     /** @name Phase attribution (see PhaseAccounting) */
@@ -83,20 +127,15 @@ class Tracer
     }
     /** @} */
 
-    /** Convenience hook for lock spins: event pair + phase charge. */
+    /** Convenience hook for lock spins: a lock-spin phase charge. */
     void
-    noteLockSpin(CoreId c, Tick t, Tick spin, std::uint16_t lock_class)
+    noteLockSpin(CoreId c, Tick spin)
     {
-        if (!enabled_ || spin == 0)
-            return;
-        emit(c, TraceEventType::kLockSpinBegin, t,
-             static_cast<std::uint32_t>(spin), lock_class);
-        emit(c, TraceEventType::kLockSpinEnd, t + spin, 0, lock_class);
-        phases_.charge(c, Phase::kLockSpin, spin);
+        if (enabled_ && spin != 0)
+            phases_.charge(c, Phase::kLockSpin, spin);
     }
 
-    /** Convenience hook for cache stalls: phase charge only (too hot
-     *  for per-access events). */
+    /** Convenience hook for cache stalls: a cache-stall phase charge. */
     void
     noteCacheStall(CoreId c, Tick cycles)
     {
@@ -104,19 +143,21 @@ class Tracer
             phases_.charge(c, Phase::kCacheStall, cycles);
     }
 
-    /** Core @p c's ring (an empty one if tracing was never enabled). */
-    const TraceRing &ring(CoreId c) const;
+    /** The depth recorder of @p queue. */
+    const QueueDepthRecorder &
+    queueDepths(TraceQueueId queue) const
+    {
+        return queues_[static_cast<int>(queue)];
+    }
+
     int numCores() const { return numCores_; }
 
     PhaseSnapshot phaseSnapshot() const { return phases_.snapshot(); }
     const PhaseAccounting &phases() const { return phases_; }
 
-    /** Total events recorded / overwritten across all rings. */
-    std::uint64_t eventsRecorded() const;
-    std::uint64_t eventsOverwritten() const;
-
-    /** Events overwritten in core @p c's ring alone. */
-    std::uint64_t eventsOverwritten(CoreId c) const;
+    /** Depth notes taken / dropped by decimation, over all queues. */
+    std::uint64_t depthNotes() const;
+    std::uint64_t depthNotesDropped() const;
 
     /** Per-connection lifecycle span log. */
     ConnSpanLog &connSpans() { return spans_; }
@@ -124,10 +165,8 @@ class Tracer
 
   private:
     int numCores_;
-    std::size_t ringCapacity_;
     bool enabled_ = false;
-    /** One per core once tracing has been enabled, else empty. */
-    std::vector<TraceRing> rings_;
+    std::array<QueueDepthRecorder, kNumTraceQueues> queues_;
     PhaseAccounting phases_;
     ConnSpanLog spans_;
 };

@@ -110,7 +110,7 @@ class ReferenceSpinLock
                 cls_->waitTicks += wait;
                 cls_->maxWaitTicks = std::max(cls_->maxWaitTicks, wait);
                 if (cls_->tracer)
-                    cls_->tracer->noteLockSpin(c, t, wait, cls_->traceId);
+                    cls_->tracer->noteLockSpin(c, wait);
                 // Contention counting: demand-driven spins count at rate rho
                 // (PASTA); true instantaneous races count fully; skew echoes
                 // barely count.

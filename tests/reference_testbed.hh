@@ -402,23 +402,13 @@ ReferenceTestbed::collect()
     for (int q = 0; q <= static_cast<int>(TraceQueueId::kProcessBacklog);
          ++q) {
         auto qid = static_cast<TraceQueueId>(q);
-        std::vector<QueueSample> tl = queueTimeline(tr, qid,
-                                                    /*max_samples=*/512);
+        std::vector<QueueSample> tl =
+            queueTimeline(tr, qid, markTick_, eq_->now());
         if (!tl.empty())
             r.queueTimelines[traceQueueName(qid)] = std::move(tl);
     }
-    r.traceEventsRecorded = tr.eventsRecorded();
-    r.traceEventsOverwritten = tr.eventsOverwritten();
-    for (int c = 0; c < machine_->numCores(); ++c)
-        r.traceOverwrittenPerCore.push_back(tr.eventsOverwritten(c));
-    if (r.traceEventsOverwritten > 0) {
-        std::fprintf(stderr,
-                     "warning: trace ring overflow: %llu events "
-                     "overwritten (oldest window events lost; raise "
-                     "machine.traceRingCapacity)\n",
-                     static_cast<unsigned long long>(
-                         r.traceEventsOverwritten));
-    }
+    r.traceEventsRecorded = tr.depthNotes();
+    r.traceEventsOverwritten = tr.depthNotesDropped();
 
     // Per-connection span forensics over the window, plus the raw
     // traces when the caller wants to export them (Perfetto).

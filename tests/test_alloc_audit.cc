@@ -368,27 +368,45 @@ TEST(AllocAudit, TimerWheelSlabAllocatesOnlyAtNewHighWaterMarks)
 
 TEST(AllocAudit, DisabledTracerAllocatesNoRings)
 {
-    // A machine built with tracing off must not carry the per-core
-    // event rings (8192 events x 16 B per core); enabling it later
-    // allocates them.
+    // A machine built with tracing off must not carry the queue-depth
+    // recorders (512 samples x 16 B per queue); enabling it later
+    // allocates them, once.
     constexpr int kCores = 24;
-    const std::uint64_t ringBytes =
-        kCores * Tracer::kDefaultRingCapacity * sizeof(TraceEvent);
+    const std::uint64_t recorderBytes = kNumTraceQueues *
+                                        QueueDepthRecorder::kCapacity *
+                                        sizeof(QueueSample);
     std::uint64_t offBytes;
     {
         AllocAuditScope scope;
-        Tracer tr(kCores, Tracer::kDefaultRingCapacity, /*enabled=*/false);
+        Tracer tr(kCores, /*enabled=*/false);
         offBytes = AllocAudit::allocBytes();
     }
-    EXPECT_LT(offBytes, ringBytes / 8);
-    Tracer tr(kCores, Tracer::kDefaultRingCapacity, /*enabled=*/false);
+    EXPECT_LT(offBytes, recorderBytes);
+    Tracer tr(kCores, /*enabled=*/false);
+    for (int q = 0; q < kNumTraceQueues; ++q)
+        EXPECT_EQ(tr.queueDepths(static_cast<TraceQueueId>(q))
+                      .samples()
+                      .capacity(),
+                  0u);
     std::uint64_t enableBytes;
     {
         AllocAuditScope scope;
         tr.setEnabled(true);
         enableBytes = AllocAudit::allocBytes();
     }
-    EXPECT_GE(enableBytes, ringBytes);
+    EXPECT_GE(enableBytes, recorderBytes);
+    // Filling every recorder past capacity allocates nothing more.
+    std::uint64_t noteAllocs;
+    {
+        AllocAuditScope scope;
+        for (int q = 0; q < kNumTraceQueues; ++q)
+            for (Tick t = 0; t < 4 * QueueDepthRecorder::kCapacity; ++t)
+                tr.noteQueueDepth(static_cast<TraceQueueId>(q), t, 1);
+        tr.setEnabled(false);
+        tr.setEnabled(true);
+        noteAllocs = AllocAudit::disarm();
+    }
+    EXPECT_EQ(noteAllocs, 0u);
 }
 
 TEST(AllocAudit, NotraceNginxSteadyStateIsAllocationFree)

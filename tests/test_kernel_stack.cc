@@ -304,8 +304,9 @@ TEST_F(KernelFixture, SlowPathSurvivesProcessCrash)
     EXPECT_EQ(m->cache().liveObjects(), objects + 2) << "TCB + slock line";
 
     k.killProcess(p0);
-    EXPECT_EQ(m->cache().liveObjects(), objects)
-        << "the dead clone's cache lines must be freed";
+    EXPECT_EQ(m->cache().liveObjects(), objects - 1)
+        << "the dead clone's cache lines and the dead process's listen "
+           "file must be freed";
 
     FiveTuple t = tupleForQueue(0);   // lands on the dead process's core
     send(t, kSyn);
@@ -331,11 +332,15 @@ TEST_F(KernelFixture, CrashFreesReuseportCloneCacheLines)
     int p1 = k.addProcess(1);
     k.listen(p1, srv(), 80);
     const std::size_t objects = m->cache().liveObjects();
+    const std::uint64_t files = m->kernel().vfs().liveFiles();
     k.listen(p0, srv(), 80);
     k.killProcess(p0);
-    // The clone's TCB and slock lines are gone; its listen file stays
-    // with the dead process's fd table.
-    EXPECT_EQ(m->cache().liveObjects(), objects + 1);
+    // The clone's TCB and slock lines are gone, and so is the listen
+    // file that pointed at it: exit closed the dead process's fds.
+    EXPECT_EQ(m->cache().liveObjects(), objects);
+    EXPECT_EQ(k.process(p0).filesLive, 0u);
+    EXPECT_EQ(m->kernel().vfs().liveFiles(), files);
+    EXPECT_EQ(k.process(p1).filesLive, 1u) << "the survivor keeps its fd";
 }
 
 TEST_F(KernelFixture, FastPathUsesLocalTableWhenHealthy)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the trace subsystem: ring overflow semantics, phase
+ * Tests for the trace subsystem: queue-depth recorder decimation, phase
  * attribution arithmetic, the cycle-conservation invariant against the
  * CPU model, and the versioned bench JSON schema.
  */
@@ -10,12 +10,12 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "harness/bench_json.hh"
 #include "harness/experiment.hh"
 #include "trace/phase_accounting.hh"
 #include "trace/trace_report.hh"
-#include "trace/trace_ring.hh"
 #include "trace/trace_scope.hh"
 #include "trace/tracer.hh"
 
@@ -24,52 +24,75 @@ namespace fsim
 namespace
 {
 
-TraceEvent
-ev(Tick tick, TraceEventType type = TraceEventType::kSyscallEnter)
+std::vector<QueueSample>
+noteAll(QueueDepthRecorder &rec, std::uint64_t n)
 {
-    TraceEvent e;
-    e.tick = tick;
-    e.type = type;
-    return e;
+    rec.allocate();
+    for (std::uint64_t i = 0; i < n; ++i)
+        rec.note(TraceQueueId::kAcceptLocal, 1000 + i,
+                 static_cast<std::uint32_t>(i));
+    return rec.samples();
 }
 
-TEST(TraceRing, FillsBelowCapacityInOrder)
+TEST(QueueDepthRecorder, KeepsEveryNoteUpToCapacity)
 {
-    TraceRing ring(8);
-    for (Tick t = 0; t < 3; ++t)
-        ring.push(ev(t));
-    EXPECT_EQ(ring.capacity(), 8u);
-    EXPECT_EQ(ring.size(), 3u);
-    EXPECT_EQ(ring.pushed(), 3u);
-    EXPECT_EQ(ring.overwritten(), 0u);
-    for (std::size_t i = 0; i < ring.size(); ++i)
-        EXPECT_EQ(ring.at(i).tick, static_cast<Tick>(i));
+    constexpr std::uint64_t kCap = QueueDepthRecorder::kCapacity;
+    QueueDepthRecorder rec;
+    std::vector<QueueSample> kept = noteAll(rec, kCap);
+    ASSERT_EQ(kept.size(), kCap);
+    EXPECT_EQ(rec.stride(), 1u);
+    EXPECT_EQ(rec.dropped(), 0u);
+    for (std::uint64_t i = 0; i < kCap; ++i) {
+        EXPECT_EQ(kept[i].depth, i);
+        EXPECT_EQ(kept[i].tick, 1000 + i);
+        EXPECT_EQ(kept[i].queue, TraceQueueId::kAcceptLocal);
+    }
 }
 
-TEST(TraceRing, OverwritesOldestWhenFull)
+TEST(QueueDepthRecorder, FullBufferHalvesAndDoublesTheStride)
 {
-    TraceRing ring(4);
-    for (Tick t = 0; t < 10; ++t)
-        ring.push(ev(t));
-    // ftrace overwrite mode: the newest window survives.
-    EXPECT_EQ(ring.size(), 4u);
-    EXPECT_EQ(ring.pushed(), 10u);
-    EXPECT_EQ(ring.overwritten(), 6u);
-    for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_EQ(ring.at(i).tick, static_cast<Tick>(6 + i));
+    constexpr std::uint64_t kCap = QueueDepthRecorder::kCapacity;
+    // One note past capacity: keep every other sample, then the new one.
+    QueueDepthRecorder one;
+    std::vector<QueueSample> kept = noteAll(one, kCap + 1);
+    EXPECT_EQ(one.stride(), 2u);
+    ASSERT_EQ(kept.size(), kCap / 2 + 1);
+    for (std::size_t k = 0; k < kept.size(); ++k)
+        EXPECT_EQ(kept[k].depth, 2 * k);
 
-    ring.clear();
-    EXPECT_EQ(ring.size(), 0u);
-    EXPECT_EQ(ring.overwritten(), 0u);
+    // 5000 notes: stride 16 covers them with 313 samples, evenly
+    // spaced from the first note to the last multiple of the stride,
+    // and the buffer never grows past its first allocation.
+    QueueDepthRecorder rec;
+    rec.allocate();
+    const std::size_t cap_before = rec.samples().capacity();
+    kept = noteAll(rec, 5000);
+    EXPECT_EQ(rec.samples().capacity(), cap_before);
+    EXPECT_EQ(rec.stride(), 16u);
+    ASSERT_EQ(kept.size(), 313u);
+    for (std::size_t k = 0; k < kept.size(); ++k)
+        EXPECT_EQ(kept[k].depth, 16 * k);
+    // Conservation: every note is either kept or counted as dropped.
+    EXPECT_EQ(rec.noted(), 5000u);
+    EXPECT_EQ(kept.size() + rec.dropped(), rec.noted());
+
+    // Deterministic: the same note stream keeps the same samples.
+    for (std::uint64_t n : {1u, 511u, 512u, 513u, 1024u, 1025u, 70001u}) {
+        QueueDepthRecorder a, b;
+        std::vector<QueueSample> ka = noteAll(a, n);
+        std::vector<QueueSample> kb = noteAll(b, n);
+        ASSERT_EQ(ka.size(), kb.size()) << n;
+        EXPECT_LE(ka.size(), kCap) << n;
+        EXPECT_EQ(ka.size() + a.dropped(), n) << n;
+        for (std::size_t k = 0; k < ka.size(); ++k) {
+            EXPECT_EQ(ka[k].tick, kb[k].tick);
+            EXPECT_EQ(ka[k].depth, a.stride() * k);
+        }
+    }
 }
 
-TEST(TraceRingDeath, CapacityMustBePowerOfTwo)
+TEST(TracerDeath, CoresBeyondTheSpanCoreSetAreFatal)
 {
-    // Emits index the ring with a mask, so a capacity that is not a
-    // power of two is a configuration error, not a slow path.
-    EXPECT_DEATH({ TraceRing ring(1000); (void)ring; }, "power of two");
-    EXPECT_DEATH({ TraceRing ring(0); (void)ring; }, "power of two");
-    EXPECT_DEATH({ Tracer tr(2, 6000); (void)tr; }, "power of two");
     // A span record's core set is one 64-bit mask.
     EXPECT_DEATH({ Tracer tr(ConnSpanLog::kMaxCores + 1); (void)tr; },
                  "cores exceed");
@@ -147,7 +170,7 @@ TEST(PhaseAccounting, DeltaSubtractsAndSaturates)
 
 TEST(TraceScope, UnclosedScopeAttributesZeroSelfTime)
 {
-    Tracer tr(1, 16);
+    Tracer tr(1);
     {
         TraceScope outer(&tr, 0, Phase::kApp, 0);
         {
@@ -167,55 +190,60 @@ TEST(TraceScope, UnclosedScopeAttributesZeroSelfTime)
 
 TEST(Tracer, NoteLockSpinEmitsEventPairAndCharges)
 {
-    Tracer tr(1, 16);
+    // A lock spin is a phase charge only: it records no queue notes.
+    Tracer tr(1);
     tr.pushPhase(0, Phase::kSoftirq, 0);
-    tr.noteLockSpin(0, 50, 25, 3);
-    tr.noteLockSpin(0, 80, 0, 3);   // zero spin: no events, no charge
+    tr.noteLockSpin(0, 25);
+    tr.noteLockSpin(0, 0);   // zero spin: no charge
     tr.popPhase(0, 200);
-
-    const TraceRing &ring = tr.ring(0);
-    ASSERT_EQ(ring.size(), 2u);
-    EXPECT_EQ(ring.at(0).type, TraceEventType::kLockSpinBegin);
-    EXPECT_EQ(ring.at(0).tick, 50u);
-    EXPECT_EQ(ring.at(0).arg, 25u);
-    EXPECT_EQ(ring.at(0).id, 3u);
-    EXPECT_EQ(ring.at(1).type, TraceEventType::kLockSpinEnd);
-    EXPECT_EQ(ring.at(1).tick, 75u);
+    EXPECT_EQ(tr.depthNotes(), 0u);
 
     PhaseSnapshot s = tr.phaseSnapshot();
     EXPECT_EQ(s.perCore[0][static_cast<int>(Phase::kLockSpin)], 25u);
     EXPECT_EQ(s.perCore[0][static_cast<int>(Phase::kSoftirq)], 175u);
+    EXPECT_EQ(decodedFolded(s).count("softirq;lock-spin"), 1u);
 }
 
 TEST(Tracer, RingsAreAllocatedOnFirstEnable)
 {
-    Tracer tr(2, 16, /*enabled=*/false);
-    tr.emit(1, TraceEventType::kConnEstablished, 5);
+    // The depth recorders are allocated on the first enable only.
+    Tracer tr(2, /*enabled=*/false);
+    tr.noteQueueDepth(TraceQueueId::kAcceptShared, 5, 1);
     EXPECT_EQ(tr.numCores(), 2);
-    EXPECT_EQ(tr.ring(1).size(), 0u);
-    EXPECT_EQ(tr.eventsRecorded(), 0u);
-    EXPECT_EQ(tr.eventsOverwritten(1), 0u);
+    const QueueDepthRecorder &rec =
+        tr.queueDepths(TraceQueueId::kAcceptShared);
+    EXPECT_EQ(rec.samples().capacity(), 0u);
+    EXPECT_EQ(tr.depthNotes(), 0u);
+    EXPECT_EQ(tr.depthNotesDropped(), 0u);
 
     tr.setEnabled(true);
-    tr.emit(1, TraceEventType::kConnEstablished, 10);
-    EXPECT_EQ(tr.ring(1).capacity(), 16u);
-    ASSERT_EQ(tr.ring(1).size(), 1u);
-    EXPECT_EQ(tr.ring(1).at(0).tick, 10u);
+    tr.noteQueueDepth(TraceQueueId::kAcceptShared, 10, 3);
+    EXPECT_EQ(rec.samples().capacity(), QueueDepthRecorder::kCapacity);
+    ASSERT_EQ(rec.samples().size(), 1u);
+    EXPECT_EQ(rec.samples()[0].tick, 10u);
+    EXPECT_EQ(rec.samples()[0].depth, 3u);
+    EXPECT_EQ(tr.depthNotes(), 1u);
 
     tr.setEnabled(false);
-    EXPECT_EQ(tr.ring(1).size(), 1u) << "a disable keeps what was recorded";
+    tr.setEnabled(true);
+    EXPECT_EQ(rec.samples().size(), 1u) << "a disable keeps what was recorded";
+    EXPECT_EQ(rec.samples().capacity(), QueueDepthRecorder::kCapacity);
 }
 
 TEST(Tracer, DisabledTracerRecordsNothing)
 {
-    Tracer tr(2, 16);
+    Tracer tr(2);
     tr.setEnabled(false);
-    tr.emit(0, TraceEventType::kConnEstablished, 10);
+    tr.noteQueueDepth(TraceQueueId::kSoftirqBacklog, 10, 4);
     tr.pushPhase(1, Phase::kApp, 0);
     tr.chargePhase(1, Phase::kLockSpin, 5);
-    tr.noteLockSpin(1, 10, 9, 0);
+    tr.noteLockSpin(1, 9);
     tr.popPhase(1, 100);
-    EXPECT_EQ(tr.eventsRecorded(), 0u);
+    EXPECT_EQ(tr.depthNotes(), 0u);
+    for (int q = 0; q < kNumTraceQueues; ++q)
+        EXPECT_TRUE(tr.queueDepths(static_cast<TraceQueueId>(q))
+                        .samples()
+                        .empty());
     PhaseSnapshot s = tr.phaseSnapshot();
     for (const auto &core : s.perCore)
         for (std::uint64_t v : core)
@@ -278,16 +306,29 @@ TEST(QueueTimelines, AcceptQueueDepthsAreRecovered)
 {
     Testbed bed(smallConfig());
     ExperimentResult r = bed.run();
+    const Tick to = bed.eventQueue().now();
+    const Tick from = to - r.windowSpan;
     // The default kernel funnels everything through the shared queue.
     auto it = r.queueTimelines.find("accept-shared");
     ASSERT_NE(it, r.queueTimelines.end());
     ASSERT_FALSE(it->second.empty());
-    Tick prev = 0;
-    for (const QueueSample &qs : it->second) {
-        EXPECT_GE(qs.tick, prev);
-        prev = qs.tick;
-        EXPECT_EQ(qs.queue, TraceQueueId::kAcceptShared);
+    for (const auto &kv : r.queueTimelines) {
+        EXPECT_LE(kv.second.size(), QueueDepthRecorder::kCapacity)
+            << kv.first;
+        Tick prev = 0;
+        for (const QueueSample &qs : kv.second) {
+            EXPECT_GE(qs.tick, prev) << kv.first;
+            prev = qs.tick;
+            // Only the measurement window is exported.
+            EXPECT_GE(qs.tick, from) << kv.first;
+            EXPECT_LE(qs.tick, to) << kv.first;
+        }
     }
+    for (const QueueSample &qs : it->second)
+        EXPECT_EQ(qs.queue, TraceQueueId::kAcceptShared);
+    // The notes cover the whole run, so decimation is marked.
+    EXPECT_GT(r.traceEventsRecorded, 0u);
+    EXPECT_LE(r.traceEventsOverwritten, r.traceEventsRecorded);
 }
 
 TEST(BenchJson, DocumentCarriesSchemaVersionAndRequiredKeys)
@@ -304,7 +345,7 @@ TEST(BenchJson, DocumentCarriesSchemaVersionAndRequiredKeys)
     std::string doc = report.str();
     // Golden schema: version stamp plus every top-level and per-row key
     // the downstream validator requires.
-    EXPECT_NE(doc.find("\"schema_version\":10"), std::string::npos);
+    EXPECT_NE(doc.find("\"schema_version\":11"), std::string::npos);
     EXPECT_NE(doc.find("\"bench\":\"unit_test\""), std::string::npos);
     for (const char *key :
          {"\"rows\"", "\"label\"", "\"config\"", "\"metrics\"",

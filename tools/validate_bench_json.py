@@ -9,50 +9,49 @@ lines, not just the first. With --quiet, per-file OK lines are
 suppressed and only violations print.
 
 Checks (stdlib only, used by CI and by hand after editing the exporter):
-  - schema_version is the known version
+  - schema_version is exactly the exporter's version (SCHEMA_VERSION)
   - required top-level / per-row keys are present with sane types
   - per-core phase fractions each sum to 1.0 +/- 1e-6
-  - folded stacks and lock windows are structurally well-formed
-  - (v2) fingerprint is a 16-hex-digit string and the invariants
-    object is consistent (violations == 0 <=> failed list empty)
-  - (v3) per-row faults block is present and consistent (armed <=>
-    non-empty plan) and lock windows carry completed/goodput plus the
-    SYN-counter deltas
-  - (v4) per-row overload block is present and internally consistent:
-    enabled <=> non-empty spec, offered == admitted + degraded + shed,
-    the shed reasons decompose the total, admitted connections are all
-    released or in flight, and a disabled row sheds/drops nothing
-  - (v5) per-row latency_stages block (span forensics): stage rows
-    carry monotone p50 <= p90 <= p99 <= p999 <= max percentiles,
-    exemplars are structurally sound, and trace.overwritten_per_core
-    sums to trace.events_overwritten
-  - (v6) per-row conn block (connection-lifetime census): TCB arena
-    gauges vs peaks, bytes_per_conn > 0 whenever TCBs existed,
-    TIME_WAIT arithmetic (entered == reaped + recycled + reused +
-    still-lingering), ehash probe averages consistent with their
-    numerators, and structurally sound ramp checkpoints
-  - (v7) per-row sim_core block (DES-core throughput): events_run /
+  - folded stacks are well formed; lock windows are ordered and carry
+    completed/goodput plus the SYN-counter deltas
+  - queue timelines hold at most 512 [tick, depth] samples each, with
+    monotone ticks inside the measurement window, and the trace block
+    marks them lossy consistently (events_overwritten <=
+    events_recorded)
+  - the fingerprint is a 16-hex-digit string and the invariants object
+    is consistent (violations == 0 <=> failed list empty)
+  - the faults block is consistent (armed <=> non-empty plan)
+  - the overload block is internally consistent: enabled <=> non-empty
+    spec, offered == admitted + degraded + shed, the shed reasons
+    decompose the total, admitted connections are all released or in
+    flight, and a disabled row sheds/drops nothing
+  - the latency_stages block (span forensics): stage rows carry
+    monotone p50 <= p90 <= p99 <= p999 <= max percentiles and
+    exemplars are structurally sound
+  - the conn block (connection-lifetime census): TCB arena gauges vs
+    peaks, bytes_per_conn > 0 whenever TCBs existed, TIME_WAIT
+    arithmetic (entered >= reaped + recycled + reused + lingering),
+    ehash probe averages consistent with their numerators, and
+    structurally sound ramp checkpoints
+  - the sim_core block (DES-core throughput): events_run /
     events_scheduled / sim_ticks always present and non-negative; the
     wall-clock trio (wall_seconds, events_per_sec, wall_per_sim_sec)
     appears all-or-none and, when present, is positive and consistent
     (events_per_sec == events_run / wall_seconds)
-  - (v8) per-row fleet block (N-machine topology + L4 balancer tier):
-    always present; enabled=false rows carry all-zero counters; flow
-    conservation (created == retired + active), active <= active_peak,
-    drains started >= completed, probe failures <= probes sent, and
-    request_success_ratio in [0, 1]
-  - (v9) gray-failure fields inside the fleet block: health_mode is
-    "binary"/"score" on enabled rows, score_ejections <= ejections,
-    incident funnel is monotone (recovered <= detected <= total), and
-    MTTD/MTTR means are non-negative and zero when nothing was
-    detected/recovered
-  - (v10) distributed-tracing fields inside the fleet block (trace
-    accounting is monotone: stitched/orphans/duplicates <= completed
-    <= started, burn-alert timestamp present iff an alert fired),
-    per-row timeseries block (known metric kinds, strictly monotone
-    sample ticks, positive sample period when enabled), and per-row
-    fleet_trace block (hop decomposition: monotone p50 <= p99 <= p999
-    <= max per hop, shares in [0, 1], dominant hops named by a hop row)
+  - the fleet block (N-machine topology + L4 balancer tier): disabled
+    rows carry all-zero counters; flow conservation (created == retired
+    + active), active <= active_peak, drains started >= completed,
+    probe failures <= probes sent, request_success_ratio in [0, 1];
+    health_mode is "binary"/"score", score_ejections <= ejections, the
+    incident funnel is monotone (recovered <= detected <= total) with
+    non-negative MTTD/MTTR means that are zero when nothing was
+    detected/recovered; trace accounting is monotone (stitched/orphans
+    <= completed <= started) and the burn-alert timestamp is present
+    iff an alert fired
+  - the timeseries block (known metric kinds, strictly monotone sample
+    ticks, positive sample period when enabled) and the fleet_trace
+    block (monotone p50 <= p99 <= p999 <= max per hop, shares in
+    [0, 1], dominant hops named by a hop row)
 Exit status 0 iff every document passes.
 """
 
@@ -60,9 +59,10 @@ import json
 import re
 import sys
 
-KNOWN_SCHEMA_VERSIONS = (2, 3, 4, 5, 6, 7, 8, 9, 10)
+SCHEMA_VERSION = 11
+MAX_TIMELINE_SAMPLES = 512
 
-V3_WINDOW_KEYS = ("completed", "goodput", "syn_retransmits",
+WINDOW_KEYS = ("completed", "goodput", "syn_retransmits",
                   "syn_cookies_sent", "syn_cookies_validated",
                   "accept_queue_rsts")
 FAULTS_KEYS = ("plan", "armed", "syn_cookies")
@@ -111,27 +111,22 @@ FLEET_KEYS = ("enabled", "server_machines", "balancers", "policy",
               "drains_completed", "undrained_flows", "restarts",
               "crashes", "lb_crashes", "vip_takeovers", "tx_suppressed",
               "corpse_rsts", "blackholed", "link_packets",
-              "link_queued_ticks", "request_success_ratio")
-# v9 additions (required only when schema_version >= 9).
-FLEET_V9_KEYS = ("health_mode", "score_ejections", "ramp_skips",
-                 "ejections_capped", "degrades_applied",
-                 "flap_transitions", "partitions_armed",
-                 "degrade_dropped", "degrade_delayed",
-                 "partition_dropped", "incidents_total",
-                 "incidents_detected", "incidents_recovered",
-                 "mttd_ms_mean", "mttr_ms_mean")
-# v10 additions: distributed-trace stitching + SLO burn alerts.
-FLEET_V10_KEYS = ("traces_started", "traces_completed",
-                  "traces_stitched", "trace_orphans",
-                  "trace_duplicates", "span_reconcile_violations",
-                  "slo_fast_alerts", "slo_slow_alerts",
-                  "slo_first_fast_alert_ms")
+              "link_queued_ticks", "request_success_ratio",
+              "health_mode", "score_ejections", "ramp_skips",
+              "ejections_capped", "degrades_applied",
+              "flap_transitions", "partitions_armed",
+              "degrade_dropped", "degrade_delayed",
+              "partition_dropped", "incidents_total",
+              "incidents_detected", "incidents_recovered",
+              "mttd_ms_mean", "mttr_ms_mean",
+              "traces_started", "traces_completed",
+              "traces_stitched", "trace_orphans",
+              "trace_duplicates", "span_reconcile_violations",
+              "slo_fast_alerts", "slo_slow_alerts",
+              "slo_first_fast_alert_ms")
 # Zero on a single-machine (fleet-disabled) row: no balancer tier ran.
 FLEET_DISABLED_ZERO_KEYS = tuple(
-    k for k in FLEET_KEYS if k not in ("enabled", "policy"))
-FLEET_V9_DISABLED_ZERO_KEYS = tuple(
-    k for k in FLEET_V9_KEYS if k != "health_mode")
-FLEET_V10_DISABLED_ZERO_KEYS = FLEET_V10_KEYS
+    k for k in FLEET_KEYS if k not in ("enabled", "policy", "health_mode"))
 
 TIMESERIES_KEYS = ("enabled", "sample_period", "series")
 SERIES_KEYS = ("name", "kind", "points")
@@ -194,22 +189,51 @@ def check_phases(c, row, where):
                    f"{total!r}, not 1.0")
 
 
-def check_lock_windows(c, row, where, version):
+def check_lock_windows(c, row, where):
     for w, win in enumerate(row["lock_windows"]):
         if not all(k in win for k in ("start", "end", "locks")):
             c.fail(f"{where}.lock_windows[{w}] malformed")
             continue
         if win["end"] < win["start"]:
             c.fail(f"{where}.lock_windows[{w}] end < start")
-        if version >= 3:
-            missing = [k for k in V3_WINDOW_KEYS if k not in win]
-            if missing:
-                c.fail(f"{where}.lock_windows[{w}] missing v3 keys "
-                       f"{missing}")
-                continue
-            if win["goodput"] < 0 or win["completed"] < 0:
-                c.fail(f"{where}.lock_windows[{w}] negative "
-                       f"completed/goodput")
+        missing = [k for k in WINDOW_KEYS if k not in win]
+        if missing:
+            c.fail(f"{where}.lock_windows[{w}] missing keys {missing}")
+            continue
+        if win["goodput"] < 0 or win["completed"] < 0:
+            c.fail(f"{where}.lock_windows[{w}] negative "
+                   f"completed/goodput")
+
+
+def check_trace(c, row, where):
+    """Queue timelines are decimated over the run and cut to the
+    measurement window; the trace block marks the decimation."""
+    tr = row["trace"]
+    if tr["events_overwritten"] > tr["events_recorded"]:
+        c.fail(f"{where}.trace: events_overwritten "
+               f"{tr['events_overwritten']} > events_recorded "
+               f"{tr['events_recorded']}")
+    wins = [w for w in row["lock_windows"]
+            if isinstance(w, dict) and "start" in w and "end" in w]
+    for qname, samples in row["queue_timelines"].items():
+        qw = f"{where}.queue_timelines[{qname}]"
+        if not isinstance(samples, list) or any(
+                not isinstance(s, list) or len(s) != 2 for s in samples):
+            c.fail(f"{qw}: samples are not [tick, depth] pairs")
+            continue
+        if len(samples) > MAX_TIMELINE_SAMPLES:
+            c.fail(f"{qw}: {len(samples)} samples, more than "
+                   f"{MAX_TIMELINE_SAMPLES}")
+        ticks = [s[0] for s in samples]
+        if ticks != sorted(ticks):
+            c.fail(f"{qw}: ticks not monotonic")
+        elif ticks and ticks[-1] - ticks[0] > tr["window_span"]:
+            c.fail(f"{qw}: samples spread {ticks[-1] - ticks[0]} ticks, "
+                   f"more than the window span {tr['window_span']}")
+        elif ticks and wins and (ticks[0] < wins[0]["start"] or
+                                 ticks[-1] > wins[-1]["end"]):
+            c.fail(f"{qw}: samples outside the window "
+                   f"[{wins[0]['start']}, {wins[-1]['end']}]")
 
 
 def check_faults(c, row, where):
@@ -287,13 +311,6 @@ def check_latency_stages(c, row, where):
     if ls["enabled"] and ls["completed"] > 0 and not ls["stages"]:
         c.fail(f"{where}.latency_stages: completed connections but no "
                f"stage rows")
-    opc = row["trace"].get("overwritten_per_core")
-    if not isinstance(opc, list):
-        c.fail(f"{where}.trace.overwritten_per_core missing (v5)")
-    elif sum(opc) != row["trace"]["events_overwritten"]:
-        c.fail(f"{where}.trace: overwritten_per_core sums to "
-               f"{sum(opc)}, expected "
-               f"{row['trace']['events_overwritten']}")
 
 
 def check_conn(c, row, where):
@@ -379,7 +396,7 @@ def check_sim_core(c, row, where):
             c.fail(f"{where}.sim_core: wall_per_sim_sec not positive")
 
 
-def check_fleet(c, row, where, version):
+def check_fleet(c, row, where):
     fl = row.get("fleet")
     if not isinstance(fl, dict):
         c.fail(f"{where}.fleet missing or malformed")
@@ -389,45 +406,31 @@ def check_fleet(c, row, where, version):
     if not isinstance(fl["policy"], str):
         c.fail(f"{where}.fleet.policy is not a string")
         return
-    if not fl["enabled"]:
-        dirty = [k for k in FLEET_DISABLED_ZERO_KEYS if fl[k]]
-        if dirty:
-            c.fail(f"{where}.fleet: disabled but non-zero {dirty}")
-    else:
-        if fl["server_machines"] < 1 or fl["balancers"] < 1:
-            c.fail(f"{where}.fleet: enabled with empty topology")
-        # Every flow the balancer tier ever created either retired or
-        # is still in a flow table at collection.
-        if fl["flows_created"] != fl["flows_retired"] + fl["flows_active"]:
-            c.fail(f"{where}.fleet: flows_created "
-                   f"{fl['flows_created']} != retired + active")
-        if fl["flows_active"] > fl["flows_active_peak"]:
-            c.fail(f"{where}.fleet: flows_active > flows_active_peak")
-        if fl["drains_completed"] > fl["drains_started"]:
-            c.fail(f"{where}.fleet: drains_completed > drains_started")
-        if fl["probe_failures"] > fl["probes_sent"]:
-            c.fail(f"{where}.fleet: probe_failures > probes_sent")
-        if not 0.0 <= fl["request_success_ratio"] <= 1.0:
-            c.fail(f"{where}.fleet: request_success_ratio outside "
-                   f"[0, 1]")
-
-    if version >= 9:
-        check_fleet_v9(c, fl, where)
-    if version >= 10:
-        check_fleet_v10(c, fl, where)
-
-
-def check_fleet_v9(c, fl, where):
-    if not c.require(fl, FLEET_V9_KEYS, f"{where}.fleet"):
-        return
     if not isinstance(fl["health_mode"], str):
         c.fail(f"{where}.fleet.health_mode is not a string")
         return
     if not fl["enabled"]:
-        dirty = [k for k in FLEET_V9_DISABLED_ZERO_KEYS if fl[k]]
+        dirty = [k for k in FLEET_DISABLED_ZERO_KEYS if fl[k]]
         if dirty:
             c.fail(f"{where}.fleet: disabled but non-zero {dirty}")
         return
+    if fl["server_machines"] < 1 or fl["balancers"] < 1:
+        c.fail(f"{where}.fleet: enabled with empty topology")
+    # Every flow the balancer tier ever created either retired or is
+    # still in a flow table at collection.
+    if fl["flows_created"] != fl["flows_retired"] + fl["flows_active"]:
+        c.fail(f"{where}.fleet: flows_created "
+               f"{fl['flows_created']} != retired + active")
+    if fl["flows_active"] > fl["flows_active_peak"]:
+        c.fail(f"{where}.fleet: flows_active > flows_active_peak")
+    if fl["drains_completed"] > fl["drains_started"]:
+        c.fail(f"{where}.fleet: drains_completed > drains_started")
+    if fl["probe_failures"] > fl["probes_sent"]:
+        c.fail(f"{where}.fleet: probe_failures > probes_sent")
+    if not 0.0 <= fl["request_success_ratio"] <= 1.0:
+        c.fail(f"{where}.fleet: request_success_ratio outside [0, 1]")
+
+    # Gray failures: detector mode, ejections and the incident ledger.
     if fl["health_mode"] not in ("binary", "score"):
         c.fail(f"{where}.fleet.health_mode {fl['health_mode']!r} not "
                f"binary/score")
@@ -444,15 +447,6 @@ def check_fleet_v9(c, fl, where):
         if fl[ck] == 0 and fl[mk] != 0:
             c.fail(f"{where}.fleet.{mk} non-zero with {ck} == 0")
 
-
-def check_fleet_v10(c, fl, where):
-    if not c.require(fl, FLEET_V10_KEYS, f"{where}.fleet"):
-        return
-    if not fl["enabled"]:
-        dirty = [k for k in FLEET_V10_DISABLED_ZERO_KEYS if fl[k]]
-        if dirty:
-            c.fail(f"{where}.fleet: disabled but non-zero {dirty}")
-        return
     # Trace accounting is a funnel: a trace completes at most once and
     # stitches/orphans/duplicates never outnumber what was seen.
     if fl["traces_completed"] > fl["traces_started"]:
@@ -545,12 +539,6 @@ def check_fleet_trace(c, row, where):
 
 
 def check_row_tail(c, row, where):
-    for qname, samples in row["queue_timelines"].items():
-        ticks = [s[0] for s in samples]
-        if ticks != sorted(ticks):
-            c.fail(f"{where}.queue_timelines[{qname}] ticks not "
-                   f"monotonic")
-
     fp = row["fingerprint"]
     if not isinstance(fp, str) or not FINGERPRINT_RE.match(fp):
         c.fail(f"{where}.fingerprint {fp!r} is not a 0x + 16-hex-digit "
@@ -582,9 +570,9 @@ def validate(path, quiet=False):
 
     if doc is not None:
         version = doc.get("schema_version")
-        if version not in KNOWN_SCHEMA_VERSIONS:
-            c.fail(f"schema_version {version!r}, expected one of "
-                   f"{KNOWN_SCHEMA_VERSIONS}")
+        if version != SCHEMA_VERSION:
+            c.fail(f"schema_version {version!r}, expected "
+                   f"{SCHEMA_VERSION}")
         else:
             if not isinstance(doc.get("bench"), str) or not doc["bench"]:
                 c.fail("missing/empty 'bench' name")
@@ -611,22 +599,16 @@ def validate(path, quiet=False):
                 for fs in row["folded_stacks"]:
                     if "stack" not in fs or "cycles" not in fs:
                         c.fail(f"{where}: malformed folded stack {fs!r}")
-                check_lock_windows(c, row, where, version)
-                if version >= 3:
-                    check_faults(c, row, where)
-                if version >= 4:
-                    check_overload(c, row, where)
-                if version >= 5:
-                    check_latency_stages(c, row, where)
-                if version >= 6:
-                    check_conn(c, row, where)
-                if version >= 7:
-                    check_sim_core(c, row, where)
-                if version >= 8:
-                    check_fleet(c, row, where, version)
-                if version >= 10:
-                    check_timeseries(c, row, where)
-                    check_fleet_trace(c, row, where)
+                check_lock_windows(c, row, where)
+                check_trace(c, row, where)
+                check_faults(c, row, where)
+                check_overload(c, row, where)
+                check_latency_stages(c, row, where)
+                check_conn(c, row, where)
+                check_sim_core(c, row, where)
+                check_fleet(c, row, where)
+                check_timeseries(c, row, where)
+                check_fleet_trace(c, row, where)
                 check_row_tail(c, row, where)
 
     for msg in c.errors:
