@@ -140,7 +140,7 @@ main(int argc, char **argv)
             bool ok = parseFaultPlan(sc.plan, cfg.faults, perr);
             fsim_assert(ok && "scenario plans are hand-written");
             cfg.clientTimeout = ticksFromSeconds(0.08);
-            cfg.synCookies = sc.synCookies;
+            cfg.machine.kernel.synCookies = sc.synCookies;
             cfg.synBacklog = sc.synBacklog;
             // Reap embryonic TCBs 30ms after the flood plants them so
             // the SYN queue drains shortly after the attack stops and

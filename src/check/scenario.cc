@@ -57,7 +57,7 @@ Scenario::toConfig() const
     cfg.listenBacklog = listenBacklog;
     cfg.acceptMutex = acceptMutex;
     cfg.checkLevel = CheckLevel::kPeriodic;
-    cfg.synCookies = synCookies;
+    cfg.machine.kernel.synCookies = synCookies;
     cfg.synBacklog = synBacklog;
     cfg.clientRtoBase = ticksFromUsec(
         static_cast<std::uint64_t>(clientRtoMsec * 1000.0));

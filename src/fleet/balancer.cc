@@ -172,7 +172,7 @@ L4Balancer::startDrain(int m)
     if (t.state == TargetState::kDraining)
         return;
     t.state = TargetState::kDraining;
-    ++drainsStarted_;
+    ++counters_.drainsStarted;
 }
 
 std::uint64_t
@@ -188,8 +188,8 @@ L4Balancer::finishDrain(int m)
     fsim_assert(t.state == TargetState::kDraining);
     const std::uint64_t remaining = t.active;
     if (remaining == 0)
-        ++drainsCompleted_;
-    undrainedFlows_ += remaining;
+        ++counters_.drainsCompleted;
+    counters_.undrainedFlows += remaining;
     // The caller stops the machine in the same event, so the brief
     // kHealthy state never steers a flow.
     t.state = TargetState::kHealthy;
@@ -280,7 +280,7 @@ L4Balancer::pickMachine(std::uint64_t key)
                          (1.0 / 9007199254740992.0);
         if (u < share)
             return false;
-        ++rampSkips_;
+        ++counters_.rampSkips;
         return true;
     };
     // First pass skips overfull and pressure-critical targets; with
@@ -304,11 +304,11 @@ L4Balancer::pickMachine(std::uint64_t key)
                 if (t.state != TargetState::kHealthy)
                     continue;
                 if (pass == 0 && cap && t.active + 1 > cap) {
-                    ++boundedLoadFallbacks_;
+                    ++counters_.boundedLoadFallbacks;
                     continue;
                 }
                 if (pass == 0 && pressureFn_ && pressureFn_(m) >= 2) {
-                    ++pressureAvoids_;
+                    ++counters_.pressureAvoids;
                     continue;
                 }
                 if (pass == 0 && rampSkip(key, m))
@@ -322,11 +322,11 @@ L4Balancer::pickMachine(std::uint64_t key)
                 if (t.state != TargetState::kHealthy)
                     continue;
                 if (pass == 0 && cap && t.active + 1 > cap) {
-                    ++boundedLoadFallbacks_;
+                    ++counters_.boundedLoadFallbacks;
                     continue;
                 }
                 if (pass == 0 && pressureFn_ && pressureFn_(m) >= 2) {
-                    ++pressureAvoids_;
+                    ++counters_.pressureAvoids;
                     continue;
                 }
                 if (pass == 0 && rampSkip(key, m))
@@ -360,7 +360,7 @@ L4Balancer::retire(std::uint64_t key)
     fsim_assert(targets_[f.machine].active > 0);
     --targets_[f.machine].active;
     flows_.erase(it);
-    ++flowsRetired_;
+    ++counters_.flowsRetired;
 }
 
 void
@@ -377,7 +377,7 @@ L4Balancer::forwardC2s(Flow &f, const Packet &pkt)
     // state, not just the packet copy, so the rewrite can never drop it.
     out.traceId = f.traceId;
     fabric_.transmit(out, eq_.now() + cfg_.forwardDelay);
-    ++forwardedC2s_;
+    ++counters_.forwardedC2s;
     if (traceLog_)
         traceLog_->lbForward(f.traceId);
     if (scoreMode() && pkt.has(kSyn) && !pkt.has(kAck) && f.machine >= 0)
@@ -394,7 +394,7 @@ L4Balancer::forwardS2c(Flow &f, const Packet &pkt)
     out.tuple.dport = f.clientPort;
     out.traceId = f.traceId;
     fabric_.transmit(out, eq_.now() + cfg_.forwardDelay);
-    ++forwardedS2c_;
+    ++counters_.forwardedS2c;
     if (traceLog_)
         traceLog_->lbForward(f.traceId);
     if (scoreMode() && pkt.has(kSyn) && pkt.has(kAck) && f.machine >= 0)
@@ -405,7 +405,7 @@ void
 L4Balancer::onVip(const Packet &pkt)
 {
     if (down_) {
-        ++downDrops_;
+        ++counters_.downDrops;
         return;
     }
     const std::uint64_t key = flowKey(pkt.tuple.saddr, pkt.tuple.sport);
@@ -417,7 +417,7 @@ L4Balancer::onVip(const Packet &pkt)
         if (freshSyn && (f.finC2s || f.finS2c)) {
             // The old flow finished (or half-finished) and the client
             // recycled the tuple: retire and fall through to create.
-            ++tupleReuse_;
+            ++counters_.tupleReuse;
             retire(key);
             it = flows_.end();
         } else {
@@ -430,7 +430,7 @@ L4Balancer::onVip(const Packet &pkt)
                 // must follow the new request — adopting the SYN's id
                 // keeps the forwardC2s restamp from branding every
                 // downstream span with the dead predecessor's trace.
-                ++tupleReuse_;
+                ++counters_.tupleReuse;
                 f.traceId = pkt.traceId;
                 if (traceLog_)
                     traceLog_->lbIngress(f.traceId, eq_.now(), lbId_,
@@ -453,25 +453,25 @@ L4Balancer::onVip(const Packet &pkt)
     // No flow. Only a fresh SYN may create one.
     if (!(pkt.has(kSyn) && !pkt.has(kAck))) {
         if (!pkt.has(kRst)) {
-            ++natRsts_;
+            ++counters_.natRsts;
             sendRstToClient(pkt);
         }
         return;
     }
     if (flows_.size() >= cfg_.maxFlows) {
-        ++shedCapacity_;
+        ++counters_.shedCapacity;
         sendRstToClient(pkt);
         return;
     }
     const int m = pickMachine(key);
     if (m < 0) {
-        ++shedNoBackend_;
+        ++counters_.shedNoBackend;
         sendRstToClient(pkt);
         return;
     }
     const Port natPort = allocNatPort();
     if (natPort == 0) {
-        ++shedCapacity_;
+        ++counters_.shedCapacity;
         sendRstToClient(pkt);
         return;
     }
@@ -488,12 +488,12 @@ L4Balancer::onVip(const Packet &pkt)
     f.traceId = pkt.traceId;
     natOwner_[natPort] = key;
     ++targets_[m].active;
-    ++flowsCreated_;
+    ++counters_.flowsCreated;
     if (traceLog_)
         traceLog_->lbIngress(f.traceId, eq_.now(), lbId_, m);
     auto ins = flows_.emplace(key, f);
-    if (flows_.size() > flowsActivePeak_)
-        flowsActivePeak_ = flows_.size();
+    if (flows_.size() > counters_.flowsActivePeak)
+        counters_.flowsActivePeak = flows_.size();
     forwardC2s(ins.first->second, pkt);
 }
 
@@ -501,7 +501,7 @@ void
 L4Balancer::onNat(const Packet &pkt)
 {
     if (down_) {
-        ++downDrops_;
+        ++counters_.downDrops;
         return;
     }
     const Port dport = pkt.tuple.dport;
@@ -582,15 +582,15 @@ L4Balancer::scoreRound()
                 static_cast<double>(downCount + 1) /
                 static_cast<double>(n);
             if (after > cfg_.score.maxEjectFraction) {
-                ++ejectionsCapped_;
+                ++counters_.ejectionsCapped;
                 continue;
             }
             t.state = TargetState::kDown;
             t.consecFails = 0;
             t.consecOks = 0;
             ++downCount;
-            ++ejections_;
-            ++scoreEjections_;
+            ++counters_.ejections;
+            ++counters_.scoreEjections;
             scorer_.noteEjected(m);
             if (incidents_) {
                 incidents_->noteDetect(m, scorer_.detectTick(m));
@@ -602,7 +602,7 @@ L4Balancer::scoreRound()
             t.consecFails = 0;
             t.consecOks = 0;
             --downCount;
-            ++readmissions_;
+            ++counters_.readmissions;
             scorer_.noteReadmitted(m);
             if (incidents_)
                 incidents_->noteRecover(m, eq_.now());
@@ -619,7 +619,7 @@ L4Balancer::sendProbe(int m)
     if (probes_.count(pp))
         return;     // slice wrapped onto an unanswered probe; skip
     probes_[pp] = Probe{m, eq_.now()};
-    ++probesSent_;
+    ++counters_.probesSent;
 
     const Target &t = targets_[m];
     Packet syn;
@@ -656,7 +656,7 @@ L4Balancer::probeOk(int m, Tick rtt)
         if (++t.consecOks >= cfg_.riseThreshold) {
             t.state = TargetState::kHealthy;
             t.consecOks = 0;
-            ++readmissions_;
+            ++counters_.readmissions;
             if (incidents_)
                 incidents_->noteRecover(m, eq_.now());
         }
@@ -668,7 +668,7 @@ L4Balancer::probeOk(int m, Tick rtt)
 void
 L4Balancer::probeFail(int m)
 {
-    ++probeFailures_;
+    ++counters_.probeFailures;
     if (scoreMode()) {
         scorer_.noteProbeTimeout(m);
         return;
@@ -681,7 +681,7 @@ L4Balancer::probeFail(int m)
         if (++t.consecFails >= cfg_.fallThreshold) {
             t.state = TargetState::kDown;
             t.consecFails = 0;
-            ++ejections_;
+            ++counters_.ejections;
             if (incidents_) {
                 incidents_->noteDetect(m, t.failStreakStart);
                 incidents_->noteEject(m, eq_.now());
@@ -703,7 +703,7 @@ L4Balancer::gcSweep()
     std::sort(stale.begin(), stale.end());
     for (std::uint64_t key : stale) {
         retire(key);
-        ++idleRetired_;
+        ++counters_.idleRetired;
     }
     eq_.scheduleIn(cfg_.gcPeriod, [this] { gcSweep(); });
 }
@@ -712,30 +712,30 @@ std::uint64_t
 L4Balancer::counterHash() const
 {
     Fingerprint fp;
-    fp.mix(flowsCreated_);
-    fp.mix(flowsRetired_);
+    fp.mix(counters_.flowsCreated);
+    fp.mix(counters_.flowsRetired);
     fp.mix(flows_.size());
-    fp.mix(flowsActivePeak_);
-    fp.mix(shedNoBackend_);
-    fp.mix(shedCapacity_);
-    fp.mix(natRsts_);
-    fp.mix(tupleReuse_);
-    fp.mix(boundedLoadFallbacks_);
-    fp.mix(pressureAvoids_);
-    fp.mix(probesSent_);
-    fp.mix(probeFailures_);
-    fp.mix(ejections_);
-    fp.mix(readmissions_);
-    fp.mix(drainsStarted_);
-    fp.mix(drainsCompleted_);
-    fp.mix(undrainedFlows_);
-    fp.mix(idleRetired_);
-    fp.mix(forwardedC2s_);
-    fp.mix(forwardedS2c_);
-    fp.mix(downDrops_);
-    fp.mix(scoreEjections_);
-    fp.mix(rampSkips_);
-    fp.mix(ejectionsCapped_);
+    fp.mix(counters_.flowsActivePeak);
+    fp.mix(counters_.shedNoBackend);
+    fp.mix(counters_.shedCapacity);
+    fp.mix(counters_.natRsts);
+    fp.mix(counters_.tupleReuse);
+    fp.mix(counters_.boundedLoadFallbacks);
+    fp.mix(counters_.pressureAvoids);
+    fp.mix(counters_.probesSent);
+    fp.mix(counters_.probeFailures);
+    fp.mix(counters_.ejections);
+    fp.mix(counters_.readmissions);
+    fp.mix(counters_.drainsStarted);
+    fp.mix(counters_.drainsCompleted);
+    fp.mix(counters_.undrainedFlows);
+    fp.mix(counters_.idleRetired);
+    fp.mix(counters_.forwardedC2s);
+    fp.mix(counters_.forwardedS2c);
+    fp.mix(counters_.downDrops);
+    fp.mix(counters_.scoreEjections);
+    fp.mix(counters_.rampSkips);
+    fp.mix(counters_.ejectionsCapped);
     if (scoreMode() && started_)
         fp.mix(scorer_.stateHash());
     for (const Target &t : targets_) {

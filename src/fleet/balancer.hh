@@ -48,6 +48,46 @@ namespace fsim
 class FleetTraceLog;
 class IncidentLog;
 
+/** One balancer's run counters (all deterministic; folded into
+ *  fingerprints). The testbed sums each into the FleetResult field of
+ *  the same name. */
+struct LbCounters
+{
+    std::uint64_t flowsCreated = 0;
+    std::uint64_t flowsRetired = 0;
+    std::uint64_t flowsActivePeak = 0;
+    /** SYNs RST-ed because no healthy target existed. */
+    std::uint64_t shedNoBackend = 0;
+    /** SYNs RST-ed because the flow/NAT table was full. */
+    std::uint64_t shedCapacity = 0;
+    /** Non-SYN packets with no flow, answered with a RST. */
+    std::uint64_t natRsts = 0;
+    /** SYNs that reused a finished flow's tuple (TIME_WAIT recycle). */
+    std::uint64_t tupleReuse = 0;
+    std::uint64_t boundedLoadFallbacks = 0;
+    /** First-pass skips: the target reported critical pressure. */
+    std::uint64_t pressureAvoids = 0;
+    std::uint64_t probesSent = 0;
+    std::uint64_t probeFailures = 0;
+    std::uint64_t ejections = 0;
+    std::uint64_t readmissions = 0;
+    /** Ejections decided by the score outlier machine (subset of
+     *  ejections). */
+    std::uint64_t scoreEjections = 0;
+    /** First-pass steering skips while a readmitted target ramped. */
+    std::uint64_t rampSkips = 0;
+    /** Score-mode ejections vetoed by the eject-fraction cap. */
+    std::uint64_t ejectionsCapped = 0;
+    std::uint64_t drainsStarted = 0;
+    std::uint64_t drainsCompleted = 0;
+    std::uint64_t undrainedFlows = 0;
+    std::uint64_t idleRetired = 0;
+    std::uint64_t forwardedC2s = 0;
+    std::uint64_t forwardedS2c = 0;
+    /** Packets dropped because this balancer was down. */
+    std::uint64_t downDrops = 0;
+};
+
 /** One L4 balancer instance (a fleet runs one or more, each with its
  *  own VIP; a survivor adopts a crashed peer's VIP). */
 class L4Balancer
@@ -178,46 +218,9 @@ class L4Balancer
     /** The health scorer (valid after start() in kScore mode). */
     const HealthScorer &scorer() const { return scorer_; }
 
-    /** @name Counters (all deterministic; folded into fingerprints) */
-    /** @{ */
-    std::uint64_t flowsCreated() const { return flowsCreated_; }
-    std::uint64_t flowsRetired() const { return flowsRetired_; }
+    const LbCounters &counters() const { return counters_; }
+    /** Flows open now. */
     std::uint64_t flowsActive() const { return flows_.size(); }
-    std::uint64_t flowsActivePeak() const { return flowsActivePeak_; }
-    /** SYNs RST-ed because no healthy target existed. */
-    std::uint64_t shedNoBackend() const { return shedNoBackend_; }
-    /** SYNs RST-ed because the flow/NAT table was full. */
-    std::uint64_t shedCapacity() const { return shedCapacity_; }
-    /** Non-SYN packets with no flow, answered with a RST. */
-    std::uint64_t natRsts() const { return natRsts_; }
-    /** SYNs that reused a finished flow's tuple (TIME_WAIT recycle). */
-    std::uint64_t tupleReuse() const { return tupleReuse_; }
-    std::uint64_t boundedLoadFallbacks() const
-    {
-        return boundedLoadFallbacks_;
-    }
-    /** First-pass skips because the target reported critical pressure. */
-    std::uint64_t pressureAvoids() const { return pressureAvoids_; }
-    std::uint64_t probesSent() const { return probesSent_; }
-    std::uint64_t probeFailures() const { return probeFailures_; }
-    std::uint64_t ejections() const { return ejections_; }
-    std::uint64_t readmissions() const { return readmissions_; }
-    /** Ejections decided by the score outlier machine (subset of
-     *  ejections()). */
-    std::uint64_t scoreEjections() const { return scoreEjections_; }
-    /** First-pass steering skips while a readmitted target ramped. */
-    std::uint64_t rampSkips() const { return rampSkips_; }
-    /** Score-mode ejections vetoed by the eject-fraction cap. */
-    std::uint64_t ejectionsCapped() const { return ejectionsCapped_; }
-    std::uint64_t drainsStarted() const { return drainsStarted_; }
-    std::uint64_t drainsCompleted() const { return drainsCompleted_; }
-    std::uint64_t undrainedFlows() const { return undrainedFlows_; }
-    std::uint64_t idleRetired() const { return idleRetired_; }
-    std::uint64_t forwardedC2s() const { return forwardedC2s_; }
-    std::uint64_t forwardedS2c() const { return forwardedS2c_; }
-    /** Packets dropped because this balancer was down. */
-    std::uint64_t downDrops() const { return downDrops_; }
-    /** @} */
 
     int targetCount() const { return static_cast<int>(targets_.size()); }
     TargetState targetState(int m) const { return targets_[m].state; }
@@ -315,29 +318,7 @@ class L4Balancer
     std::uint32_t rrCursor_ = 0;
     std::uint64_t probeSeq_ = 0;
 
-    std::uint64_t flowsCreated_ = 0;
-    std::uint64_t flowsRetired_ = 0;
-    std::uint64_t flowsActivePeak_ = 0;
-    std::uint64_t shedNoBackend_ = 0;
-    std::uint64_t shedCapacity_ = 0;
-    std::uint64_t natRsts_ = 0;
-    std::uint64_t tupleReuse_ = 0;
-    std::uint64_t boundedLoadFallbacks_ = 0;
-    std::uint64_t pressureAvoids_ = 0;
-    std::uint64_t probesSent_ = 0;
-    std::uint64_t probeFailures_ = 0;
-    std::uint64_t ejections_ = 0;
-    std::uint64_t readmissions_ = 0;
-    std::uint64_t scoreEjections_ = 0;
-    std::uint64_t rampSkips_ = 0;
-    std::uint64_t ejectionsCapped_ = 0;
-    std::uint64_t drainsStarted_ = 0;
-    std::uint64_t drainsCompleted_ = 0;
-    std::uint64_t undrainedFlows_ = 0;
-    std::uint64_t idleRetired_ = 0;
-    std::uint64_t forwardedC2s_ = 0;
-    std::uint64_t forwardedS2c_ = 0;
-    std::uint64_t downDrops_ = 0;
+    LbCounters counters_;
 };
 
 } // namespace fsim

@@ -7,7 +7,7 @@
  * - B >= 1 balancers: clients reach N server machines through the
  *   balancer VIPs, full NAT and per-machine rack links.
  * - B = 0 (legal only with N = 1, the fleet of one): the machine's
- *   NetPort sits on a flat wireDelay fabric, and the clients and the
+ *   NetPort sits on a flat kWireDelay fabric, and the clients and the
  *   fault injector aim at the machine's own addresses and service port.
  *
  * The balancer tier itself (L4Balancer, HealthScorer) lives in

@@ -115,15 +115,9 @@ BenchJsonReport::str() const
         w.endObject();
 
         w.key("metrics").beginObject();
-        w.key("cps").value(r.cps);
-        w.key("rps").value(r.rps);
-        w.key("l3_miss_rate").value(r.l3MissRate);
-        w.key("local_pkt_proportion").value(r.localPktProportion);
-        w.key("served").value(r.served);
-        w.key("client_failures").value(r.clientFailures);
-        w.key("slow_path_accepts").value(r.slowPathAccepts);
-        w.key("steered_packets").value(r.steeredPackets);
-        w.key("rx_packets").value(r.rxPackets);
+#define RESULT_METRIC_metrics(field, name, type, better, gate) \
+        w.key(name).value(r.field);
+#include "stats/result_metrics.def"
         w.key("avg_util").value(r.avgUtil());
         w.key("max_util").value(r.maxUtil());
         w.key("core_util").beginArray();
@@ -177,70 +171,21 @@ BenchJsonReport::str() const
         w.key("faults").beginObject();
         w.key("plan").value(serializeFaultPlan(cfg.faults));
         w.key("armed").value(!cfg.faults.empty());
-        w.key("syn_cookies").value(cfg.synCookies ||
-                                   cfg.machine.kernel.synCookies);
+        w.key("syn_cookies").value(cfg.machine.kernel.synCookies);
         w.endObject();
 
-        const OverloadResult &ov = r.overload;
         w.key("overload").beginObject();
-        w.key("enabled").value(ov.enabled);
-        w.key("spec").value(ov.spec);
-        w.key("offered").value(ov.offered);
-        w.key("admitted").value(ov.admitted);
-        w.key("degraded").value(ov.degraded);
-        w.key("shed").value(ov.shed);
-        w.key("shed_deadline").value(ov.shedDeadline);
-        w.key("shed_worker_cap").value(ov.shedWorkerCap);
-        w.key("shed_pressure").value(ov.shedPressure);
-        w.key("released").value(ov.released);
-        w.key("inflight").value(ov.inflight);
-        w.key("health_offered").value(ov.healthOffered);
-        w.key("health_admitted").value(ov.healthAdmitted);
-        w.key("served_degraded").value(ov.servedDegraded);
-        w.key("backlog_dropped").value(ov.backlogDropped);
-        w.key("syn_gate_dropped").value(ov.synGateDropped);
-        w.key("pressure_transitions").value(ov.pressureTransitions);
-        w.key("pressure_level").value(ov.pressureLevel);
-        w.key("pressure_peak").value(ov.pressurePeak);
-        w.key("softirq_depth_peak").value(ov.softirqDepthPeak);
-        w.key("accept_depth_peak").value(ov.acceptDepthPeak);
-        w.key("epoll_ready_peak").value(ov.epollReadyPeak);
-        w.key("latency_p50_ticks").value(static_cast<std::uint64_t>(
-            ov.latencyP50));
-        w.key("latency_p99_ticks").value(static_cast<std::uint64_t>(
-            ov.latencyP99));
-        w.key("latency_samples").value(ov.latencySamples);
-        w.key("health_probes_started").value(ov.healthProbesStarted);
-        w.key("health_probes_completed").value(ov.healthProbesCompleted);
-        w.key("health_probes_failed").value(ov.healthProbesFailed);
+#define RESULT_METRIC_overload(field, name, type, better, gate) \
+        w.key(name).value(r.overload.field);
+#include "stats/result_metrics.def"
         w.endObject();
 
-        const ConnResult &cn = r.conn;
         w.key("conn").beginObject();
-        w.key("tcb_live").value(cn.tcbLive);
-        w.key("tcb_live_peak").value(cn.tcbLivePeak);
-        w.key("tcb_created").value(cn.tcbCreated);
-        w.key("slab_bytes").value(cn.slabBytes);
-        w.key("bytes_per_conn").value(cn.bytesPerConn);
-        w.key("established_curr").value(cn.establishedCurr);
-        w.key("established_peak").value(cn.establishedPeak);
-        w.key("time_wait_curr").value(cn.timeWaitCurr);
-        w.key("time_wait_peak").value(cn.timeWaitPeak);
-        w.key("time_wait_entered").value(cn.timeWaitEntered);
-        w.key("time_wait_reaped").value(cn.timeWaitReaped);
-        w.key("time_wait_recycled").value(cn.timeWaitRecycled);
-        w.key("time_wait_reused").value(cn.timeWaitReused);
-        w.key("time_wait_syn_dropped").value(cn.timeWaitSynDropped);
-        w.key("time_wait_acks").value(cn.timeWaitAcks);
-        w.key("port_alloc_failures").value(cn.portAllocFailures);
-        w.key("ehash_lookups").value(cn.ehashLookups);
-        w.key("ehash_probes_walked").value(cn.ehashProbesWalked);
-        w.key("ehash_lookup_cycles").value(cn.ehashLookupCycles);
-        w.key("ehash_resizes").value(cn.ehashResizes);
-        w.key("avg_probe_len").value(cn.avgProbeLen);
-        w.key("cycles_per_lookup").value(cn.cyclesPerLookup);
+#define RESULT_METRIC_conn(field, name, type, better, gate) \
+        w.key(name).value(r.conn.field);
+#include "stats/result_metrics.def"
         w.key("ramp").beginArray();
-        for (const ConnRampPoint &rp : cn.ramp) {
+        for (const ConnRampPoint &rp : r.conn.ramp) {
             w.beginObject();
             w.key("live").value(rp.live);
             w.key("bytes_per_conn").value(rp.bytesPerConn);
@@ -251,7 +196,7 @@ BenchJsonReport::str() const
         w.endArray();
         w.endObject();
 
-        // v7: DES-core throughput. The deterministic fields are always
+        // DES-core throughput. The deterministic fields are always
         // present; wall-clock numbers only when a wall-aware bench
         // stamped them (same-seed exports must stay byte-identical).
         w.key("sim_core").beginObject();
@@ -271,78 +216,17 @@ BenchJsonReport::str() const
         }
         w.endObject();
 
-        // v8: fleet tier. Always present; enabled=false (all counters
-        // zero) on single-machine rows so diff tooling sees the block
+        // Fleet tier. Always present; enabled=false (all counters zero)
+        // on single-machine rows so diff tooling sees the block
         // vanish/appear explicitly rather than silently.
-        const FleetResult &fl = r.fleet;
         w.key("fleet").beginObject();
-        w.key("enabled").value(fl.enabled);
-        w.key("server_machines").value(
-            static_cast<std::uint64_t>(fl.serverMachines));
-        w.key("balancers").value(
-            static_cast<std::uint64_t>(fl.balancers));
-        w.key("policy").value(fl.policy);
-        w.key("flows_created").value(fl.flowsCreated);
-        w.key("flows_retired").value(fl.flowsRetired);
-        w.key("flows_active").value(fl.flowsActive);
-        w.key("flows_active_peak").value(fl.flowsActivePeak);
-        w.key("tuple_reuse").value(fl.tupleReuse);
-        w.key("idle_retired").value(fl.idleRetired);
-        w.key("forwarded_c2s").value(fl.forwardedC2s);
-        w.key("forwarded_s2c").value(fl.forwardedS2c);
-        w.key("shed_no_backend").value(fl.shedNoBackend);
-        w.key("shed_capacity").value(fl.shedCapacity);
-        w.key("nat_rsts").value(fl.natRsts);
-        w.key("bounded_load_fallbacks").value(fl.boundedLoadFallbacks);
-        w.key("pressure_avoids").value(fl.pressureAvoids);
-        w.key("probes_sent").value(fl.probesSent);
-        w.key("probe_failures").value(fl.probeFailures);
-        w.key("ejections").value(fl.ejections);
-        w.key("readmissions").value(fl.readmissions);
-        w.key("drains_started").value(fl.drainsStarted);
-        w.key("drains_completed").value(fl.drainsCompleted);
-        w.key("undrained_flows").value(fl.undrainedFlows);
-        w.key("restarts").value(fl.restarts);
-        w.key("crashes").value(fl.crashes);
-        w.key("lb_crashes").value(fl.lbCrashes);
-        w.key("vip_takeovers").value(fl.vipTakeovers);
-        w.key("tx_suppressed").value(fl.txSuppressed);
-        w.key("corpse_rsts").value(fl.corpseRsts);
-        w.key("blackholed").value(fl.blackholed);
-        w.key("link_packets").value(fl.linkPackets);
-        w.key("link_queued_ticks").value(fl.linkQueuedTicks);
-        w.key("request_success_ratio").value(fl.requestSuccessRatio);
-        // v9: gray-failure detection and incident MTTR summary.
-        w.key("health_mode").value(fl.healthMode);
-        w.key("score_ejections").value(fl.scoreEjections);
-        w.key("ramp_skips").value(fl.rampSkips);
-        w.key("ejections_capped").value(fl.ejectionsCapped);
-        w.key("degrades_applied").value(fl.degradesApplied);
-        w.key("flap_transitions").value(fl.flapTransitions);
-        w.key("partitions_armed").value(fl.partitionsArmed);
-        w.key("degrade_dropped").value(fl.degradeDropped);
-        w.key("degrade_delayed").value(fl.degradeDelayed);
-        w.key("partition_dropped").value(fl.partitionDropped);
-        w.key("incidents_total").value(fl.incidentsTotal);
-        w.key("incidents_detected").value(fl.incidentsDetected);
-        w.key("incidents_recovered").value(fl.incidentsRecovered);
-        w.key("mttd_ms_mean").value(fl.mttdMsMean);
-        w.key("mttr_ms_mean").value(fl.mttrMsMean);
-        // v10: distributed-trace stitching gates + SLO burn alerts.
-        w.key("traces_started").value(fl.tracesStarted);
-        w.key("traces_completed").value(fl.tracesCompleted);
-        w.key("traces_stitched").value(fl.tracesStitched);
-        w.key("trace_orphans").value(fl.traceOrphans);
-        w.key("trace_duplicates").value(fl.traceDuplicates);
-        w.key("span_reconcile_violations").value(
-            fl.spanReconcileViolations);
-        w.key("slo_fast_alerts").value(fl.sloFastAlerts);
-        w.key("slo_slow_alerts").value(fl.sloSlowAlerts);
-        w.key("slo_first_fast_alert_ms").value(fl.sloFirstFastAlertMs);
+#define RESULT_METRIC_fleet(field, name, type, better, gate) \
+        w.key(name).value(r.fleet.field);
+#include "stats/result_metrics.def"
         w.endObject();
 
-        // v10: sampled metrics time series (one point per stat
-        // sub-window; empty series list when sampling never ran).
+        // Sampled metrics time series (one point per stat sub-window;
+        // empty series list when sampling never ran).
         const MetricsSnapshot &ts = r.timeseries;
         w.key("timeseries").beginObject();
         w.key("enabled").value(ts.enabled);
@@ -366,8 +250,7 @@ BenchJsonReport::str() const
         w.endArray();
         w.endObject();
 
-        // v10: end-to-end critical-path forensics over stitched fleet
-        // traces.
+        // End-to-end critical-path forensics over stitched fleet traces.
         const FleetTraceForensics &ft = r.fleetTrace;
         w.key("fleet_trace").beginObject();
         w.key("enabled").value(ft.enabled);

@@ -46,6 +46,12 @@ enum class AppKind
     kHaproxy,   //!< Proxy (passive + active connections)
 };
 
+/** One-way latency of the flat fabric (no balancer tier, or useLinks
+ *  off). */
+inline constexpr Tick kWireDelay = ticksFromUsec(50);
+/** Page size every server and backend serves (the paper's 64 B). */
+inline constexpr std::uint32_t kResponseBytes = 64;
+
 /** One experiment's setup. */
 struct ExperimentConfig
 {
@@ -57,8 +63,6 @@ struct ExperimentConfig
     double measureSec = 0.12;
     /** Number of ideal backend servers (HAProxy experiments). */
     int backendCount = 16;
-    /** One-way wire latency. */
-    Tick wireDelay = ticksFromUsec(50);
     /** Backend service port (a non-well-known port exercises RFD rule
      *  3, the precise listener probe). */
     Port backendPort = 80;
@@ -68,8 +72,6 @@ struct ExperimentConfig
     bool backendKeepAlive = false;
     /** nginx accept mutex (paper 4.2.2 disables it under Fastsocket). */
     bool acceptMutex = false;
-    std::uint32_t responseBytes = 64;
-    std::uint32_t requestBytes = 600;
     /** Requests per connection (1 = short-lived; >1 enables HTTP
      *  keep-alive on the web server and long-lived client behavior). */
     int requestsPerConn = 1;
@@ -112,17 +114,10 @@ struct ExperimentConfig
     /** @{ */
     /** Scheduled fault plan; empty = no injection. */
     FaultPlan faults;
-    /** Enable SYN cookies on the server kernel (shorthand for
-     *  machine.kernel.synCookies). */
-    bool synCookies = false;
     /** Override the kernel's SYN-queue capacity (0 = kernel default). */
     std::size_t synBacklog = 0;
     /** Client SYN/request retransmission base RTO (0 = off). */
     Tick clientRtoBase = 0;
-    /** Backoff cap (0 = 8 x clientRtoBase). */
-    Tick clientRtoMax = 0;
-    /** Client retransmissions before giving up. */
-    int clientMaxRetx = 6;
     /** Proxy per-attempt backend timeout (0 = off); enables retry with
      *  backend health ejection (haproxy app only). */
     Tick backendTimeout = 0;
@@ -171,47 +166,8 @@ struct LockWindow
  *  the latency percentiles which cover the measurement window). */
 struct OverloadResult
 {
-    bool enabled = false;
-    /** Serialized OverloadConfig knobs ("" when disabled). */
-    std::string spec;
-
-    /** @name Admission (run totals) */
-    /** @{ */
-    std::uint64_t offered = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t degraded = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t shedDeadline = 0;
-    std::uint64_t shedWorkerCap = 0;
-    std::uint64_t shedPressure = 0;
-    std::uint64_t released = 0;
-    std::uint64_t inflight = 0;
-    std::uint64_t healthOffered = 0;
-    std::uint64_t healthAdmitted = 0;
-    std::uint64_t servedDegraded = 0;
-    /** @} */
-
-    /** @name Kernel + process pressure signals */
-    /** @{ */
-    std::uint64_t backlogDropped = 0;
-    std::uint64_t synGateDropped = 0;
-    std::uint64_t pressureTransitions = 0;
-    int pressureLevel = 0;       //!< final PressureLevel
-    int pressurePeak = 0;        //!< highest PressureLevel seen
-    std::uint64_t softirqDepthPeak = 0;
-    std::uint64_t acceptDepthPeak = 0;
-    std::uint64_t epollReadyPeak = 0;
-    /** @} */
-
-    /** @name Client-observed outcome (window-scoped latency) */
-    /** @{ */
-    Tick latencyP50 = 0;
-    Tick latencyP99 = 0;
-    std::uint64_t latencySamples = 0;
-    std::uint64_t healthProbesStarted = 0;
-    std::uint64_t healthProbesCompleted = 0;
-    std::uint64_t healthProbesFailed = 0;
-    /** @} */
+#define RESULT_METRIC_overload(field, key, type, better, gate) type field{};
+#include "stats/result_metrics.def"
 };
 
 /** One checkpoint of a connection-count ramp (bench_million_conn):
@@ -229,162 +185,32 @@ struct ConnRampPoint
  *  ephemeral-port pressure, and established-hash lookup cost. */
 struct ConnResult
 {
-    /** @name TCB arena (memory footprint) */
-    /** @{ */
-    std::uint64_t tcbLive = 0;        //!< live sockets at collection
-    std::uint64_t tcbLivePeak = 0;    //!< arena high-water mark
-    std::uint64_t tcbCreated = 0;     //!< total sockets ever created
-    std::uint64_t slabBytes = 0;      //!< arena capacity bytes
-    double bytesPerConn = 0.0;        //!< slabBytes / tcbLivePeak
-    /** @} */
-
-    /** @name Established gauge + TIME_WAIT lifecycle */
-    /** @{ */
-    std::uint64_t establishedCurr = 0;
-    std::uint64_t establishedPeak = 0;
-    std::uint64_t timeWaitCurr = 0;
-    std::uint64_t timeWaitPeak = 0;
-    std::uint64_t timeWaitEntered = 0;
-    std::uint64_t timeWaitReaped = 0;
-    std::uint64_t timeWaitRecycled = 0;
-    std::uint64_t timeWaitReused = 0;
-    std::uint64_t timeWaitSynDropped = 0;
-    std::uint64_t timeWaitAcks = 0;
-    /** @} */
-
-    /** @name Ephemeral-port pressure */
-    /** @{ */
-    std::uint64_t portAllocFailures = 0;   //!< connect() EADDRNOTAVAIL
-    /** @} */
-
-    /** @name Established-hash lookup cost (global + per-core tables) */
-    /** @{ */
-    std::uint64_t ehashLookups = 0;
-    std::uint64_t ehashProbesWalked = 0;
-    std::uint64_t ehashLookupCycles = 0;
-    std::uint64_t ehashResizes = 0;
-    double avgProbeLen = 0.0;         //!< probesWalked / lookups
-    double cyclesPerLookup = 0.0;     //!< lookupCycles / lookups
-    /** @} */
+#define RESULT_METRIC_conn(field, key, type, better, gate) type field{};
+#include "stats/result_metrics.def"
 
     /** Ramp checkpoints (filled by bench_million_conn; empty
      *  elsewhere). */
     std::vector<ConnRampPoint> ramp;
 };
 
-/** Fleet-tier outcome (schema v8 "fleet" block; enabled=false and all
- *  zero for runs without a balancer tier). Counters are sums over every balancer
- *  and, where machine-scoped, over every server machine generation. */
+/** Fleet-tier outcome (enabled=false and all zero for runs without a
+ *  balancer tier). Counters are sums over every balancer and, where
+ *  machine-scoped, over every server machine generation. */
 struct FleetResult
 {
-    bool enabled = false;
-    int serverMachines = 0;
-    int balancers = 0;
-    std::string policy;                 //!< "chash" | "rr"
-
-    /** @name Balancer flow table */
-    /** @{ */
-    std::uint64_t flowsCreated = 0;
-    std::uint64_t flowsRetired = 0;
-    std::uint64_t flowsActive = 0;      //!< still open at collect()
-    std::uint64_t flowsActivePeak = 0;
-    std::uint64_t tupleReuse = 0;
-    std::uint64_t idleRetired = 0;
-    std::uint64_t forwardedC2s = 0;
-    std::uint64_t forwardedS2c = 0;
-    /** @} */
-
-    /** @name Steering and shedding */
-    /** @{ */
-    std::uint64_t shedNoBackend = 0;    //!< SYN RSTs: no healthy target
-    std::uint64_t shedCapacity = 0;     //!< SYN RSTs: flow table full
-    std::uint64_t natRsts = 0;          //!< non-SYN with no flow
-    std::uint64_t boundedLoadFallbacks = 0;
-    std::uint64_t pressureAvoids = 0;   //!< cross-tier pressure skips
-    /** @} */
-
-    /** @name Health, draining, orchestration */
-    /** @{ */
-    std::uint64_t probesSent = 0;
-    std::uint64_t probeFailures = 0;
-    std::uint64_t ejections = 0;
-    std::uint64_t readmissions = 0;
-    std::uint64_t drainsStarted = 0;
-    std::uint64_t drainsCompleted = 0;
-    std::uint64_t undrainedFlows = 0;   //!< active past drain deadline
-    std::uint64_t restarts = 0;         //!< machine generations started
-    std::uint64_t crashes = 0;          //!< abrupt (non-admin) losses
-    std::uint64_t lbCrashes = 0;
-    std::uint64_t vipTakeovers = 0;
-    /** @} */
-
-    /** @name Fabric-edge accounting */
-    /** @{ */
-    std::uint64_t txSuppressed = 0;     //!< zombie packets gated at ports
-    std::uint64_t corpseRsts = 0;       //!< RSTs answered for dead boxes
-    std::uint64_t blackholed = 0;       //!< packets eaten by dead boxes
-    std::uint64_t linkPackets = 0;
-    std::uint64_t linkQueuedTicks = 0;
-    /** @} */
-
-    /** completed / (completed + failed) over the measurement window. */
-    double requestSuccessRatio = 0.0;
-
-    /** @name Gray-failure detection (schema v9) */
-    /** @{ */
-    std::string healthMode;             //!< "binary" | "score"
-    std::uint64_t scoreEjections = 0;   //!< outlier-score ejections
-    std::uint64_t rampSkips = 0;        //!< slow-start steering skips
-    std::uint64_t ejectionsCapped = 0;  //!< vetoed by eject-fraction cap
-    std::uint64_t degradesApplied = 0;  //!< gray-degrade applications
-    std::uint64_t flapTransitions = 0;  //!< flap mode toggles fired
-    std::uint64_t partitionsArmed = 0;  //!< partition range pairs armed
-    std::uint64_t degradeDropped = 0;   //!< NIC-degrade egress losses
-    std::uint64_t degradeDelayed = 0;   //!< NIC-degrade delayed packets
-    std::uint64_t partitionDropped = 0; //!< blackholed by partitions
-    std::uint64_t incidentsTotal = 0;
-    std::uint64_t incidentsDetected = 0;
-    std::uint64_t incidentsRecovered = 0;
-    /** Mean inject->detect over detected incidents, ms (0 if none). */
-    double mttdMsMean = 0.0;
-    /** Mean inject->recover over recovered incidents, ms (0 if none). */
-    double mttrMsMean = 0.0;
-    /** @} */
-
-    /** @name End-to-end tracing + SLO (schema v10) */
-    /** @{ */
-    std::uint64_t tracesStarted = 0;    //!< client hops recorded
-    std::uint64_t tracesCompleted = 0;  //!< client finishes (ok + fail)
-    std::uint64_t tracesStitched = 0;   //!< with a machine span joined
-    /** Completed-ok traces with no balancer record (gate: must be 0). */
-    std::uint64_t traceOrphans = 0;
-    /** Trace-id collisions between attempts (gate: must be 0). */
-    std::uint64_t traceDuplicates = 0;
-    /** (generation, core) pairs whose recorded exec-span ticks exceed
-     *  the core's busy ticks (gate: must be 0). */
-    std::uint64_t spanReconcileViolations = 0;
-    std::uint64_t sloFastAlerts = 0;    //!< fast-burn arm firings
-    std::uint64_t sloSlowAlerts = 0;    //!< slow-burn arm firings
-    /** Earliest fast-burn alert, ms from run start (0 = never). */
-    double sloFirstFastAlertMs = 0.0;
-    /** @} */
+#define RESULT_METRIC_fleet(field, key, type, better, gate) type field{};
+#include "stats/result_metrics.def"
 };
 
 /** Measured outcome of one experiment. */
 struct ExperimentResult
 {
-    double cps = 0.0;                   //!< connections per second
-    double rps = 0.0;                   //!< responses (requests) per sec
-    double l3MissRate = 0.0;            //!< window L3 miss rate
-    double localPktProportion = 0.0;    //!< Figure 5(b) metric
+    /** Window scalars (cps, rps, served...): the "metrics" block. */
+#define RESULT_METRIC_metrics(field, key, type, better, gate) type field{};
+#include "stats/result_metrics.def"
     std::vector<double> coreUtil;       //!< per-core utilization
     /** Window deltas of every lock class (acquisitions/contentions...). */
     std::map<std::string, LockClassStats> locks;
-    std::uint64_t served = 0;           //!< app-level responses in window
-    std::uint64_t clientFailures = 0;
-    std::uint64_t slowPathAccepts = 0;
-    std::uint64_t steeredPackets = 0;
-    std::uint64_t rxPackets = 0;
     /** Fraction of measured cycles spent spinning on each lock class. */
     std::map<std::string, double> lockCycleShare;
 
@@ -435,15 +261,15 @@ struct ExperimentResult
     /** Fleet tier (enabled=false for runs without a balancer tier). */
     FleetResult fleet;
 
-    /** Sampled metrics time series (schema v10 "timeseries" block;
-     *  enabled=false and empty when the run had no registry). */
+    /** Sampled metrics time series (enabled=false and empty when the
+     *  run had no registry). */
     MetricsSnapshot timeseries;
 
     /** Fleet-wide end-to-end critical-path forensics (enabled=false
      *  outside traced fleet runs). */
     FleetTraceForensics fleetTrace;
 
-    /** @name DES-core throughput (schema v7 "sim_core" block) */
+    /** @name DES-core throughput (the "sim_core" block) */
     /** @{ */
     /** Events executed / scheduled over the window (deterministic:
      *  part of the same-seed contract like every counter above). */
@@ -514,7 +340,7 @@ struct FleetConfig
     double flowGcPeriodMsec = 10.0;
     /** @} */
 
-    /** @name Fabric links (useLinks=false -> flat wireDelay fabric;
+    /** @name Fabric links (useLinks=false -> flat kWireDelay fabric;
      *  without a balancer tier the fabric is always flat) */
     /** @{ */
     bool useLinks = true;
@@ -555,11 +381,11 @@ struct FleetConfig
  *                            shared BackendPool (haproxy mode)
  *
  * Without one (B = 0, N = 1: the fleet of one, what Testbed builds) the
- * machine's NetPort sits on a flat wireDelay fabric, and the clients
+ * machine's NetPort sits on a flat kWireDelay fabric, and the clients
  * and the FaultInjector aim at the machine's own addresses and service
  * port:
  *
- *     clients (HttpLoad) ── wireDelay ── server machine (NetPort)
+ *     clients (HttpLoad) ── kWireDelay ── server machine (NetPort)
  *                                           │
  *                            shared BackendPool (haproxy mode)
  *
@@ -685,13 +511,9 @@ class FleetTestbed
 
     /** @name Orchestration counters */
     /** @{ */
-    std::uint64_t crashes() const { return crashes_; }
-    std::uint64_t restarts() const { return restarts_; }
-    std::uint64_t lbCrashes() const { return lbCrashes_; }
-    std::uint64_t vipTakeovers() const { return vipTakeovers_; }
-    std::uint64_t degradesApplied() const { return degradesApplied_; }
-    std::uint64_t flapTransitions() const { return flapTransitions_; }
-    std::uint64_t partitionsArmed() const { return partitionsArmed_; }
+    std::uint64_t crashes() const { return orch_.crashes; }
+    std::uint64_t restarts() const { return orch_.restarts; }
+    std::uint64_t vipTakeovers() const { return orch_.vipTakeovers; }
     /** @} */
 
     /** @name Address plan (stable; tests depend on it) */
@@ -795,15 +617,11 @@ class FleetTestbed
     Tick rollingDrain_ = 0;
     Tick rollingDown_ = 0;
 
-    std::uint64_t crashes_ = 0;
-    std::uint64_t restarts_ = 0;
-    std::uint64_t lbCrashes_ = 0;
-    std::uint64_t vipTakeovers_ = 0;
-    std::uint64_t corpseRsts_ = 0;
-    std::uint64_t blackholed_ = 0;
-    std::uint64_t degradesApplied_ = 0;
-    std::uint64_t flapTransitions_ = 0;
-    std::uint64_t partitionsArmed_ = 0;
+    /** Orchestration counters (crashes, restarts, lbCrashes,
+     *  vipTakeovers, corpseRsts, blackholed, degradesApplied,
+     *  flapTransitions, partitionsArmed), kept in the fleet-block fields
+     *  they export as; collect() starts the block from this copy. */
+    FleetResult orch_;
     IncidentLog incidents_;
     FleetTraceLog traceLog_;
     MetricsRegistry metrics_;

@@ -21,10 +21,8 @@ FleetTestbed::FleetTestbed(const FleetConfig &cfg)
                    "machine with balancers=0",
                    cfg_.serverMachines, cfg_.balancers);
 
-    // Hardening shorthands fold into the kernel config before any
-    // machine exists; defaults leave it untouched.
-    if (cfg_.base.synCookies)
-        cfg_.base.machine.kernel.synCookies = true;
+    // The SYN-queue shorthand folds into the kernel config before any
+    // machine exists; the default leaves it untouched.
     if (cfg_.base.synBacklog > 0)
         cfg_.base.machine.kernel.synBacklog = cfg_.base.synBacklog;
     // Balancer probes abandon their handshakes silently (a probe
@@ -37,7 +35,7 @@ FleetTestbed::FleetTestbed(const FleetConfig &cfg)
     fsim_assert(drainPoll_ > 0);
 
     eq_ = std::make_unique<EventQueue>();
-    fabric_ = std::make_unique<Wire>(*eq_, cfg_.base.wireDelay);
+    fabric_ = std::make_unique<Wire>(*eq_, kWireDelay);
     if (cfg_.base.lossRate > 0.0)
         fabric_->setLossRate(cfg_.base.lossRate,
                              cfg_.base.machine.seed ^ 0x10ad);
@@ -71,7 +69,7 @@ FleetTestbed::FleetTestbed(const FleetConfig &cfg)
         const IpAddr blast =
             bfirst + static_cast<IpAddr>(cfg_.base.backendCount - 1);
         backends_ = std::make_unique<BackendPool>(
-            *eq_, *fabric_, bfirst, blast, cfg_.base.responseBytes,
+            *eq_, *fabric_, bfirst, blast, kResponseBytes,
             ticksFromUsec(100));
         backends_->setKeepAlive(cfg_.base.backendKeepAlive);
         for (IpAddr a = bfirst; a <= blast; ++a)
@@ -147,14 +145,11 @@ FleetTestbed::FleetTestbed(const FleetConfig &cfg)
     lc.serverPort = targetPort;
     lc.concurrency = cfg_.base.concurrencyPerCore *
                      cfg_.base.machine.cores * cfg_.serverMachines;
-    lc.requestBytes = cfg_.base.requestBytes;
     lc.requestsPerConn = cfg_.base.requestsPerConn;
     lc.timeout = cfg_.base.clientTimeout;
     lc.seed = cfg_.base.machine.seed ^ 0xabcdef;
     lc.maxConns = cfg_.base.maxConns;
     lc.rtoBase = cfg_.base.clientRtoBase;
-    lc.rtoMax = cfg_.base.clientRtoMax;
-    lc.maxRetx = cfg_.base.clientMaxRetx;
     lc.healthEvery = cfg_.base.clientHealthEvery;
     if (cfg_.base.machine.overload.healthRequestBytes > 0)
         lc.healthRequestBytes =
@@ -191,11 +186,11 @@ FleetTestbed::FleetTestbed(const FleetConfig &cfg)
             L4Balancer *b = balancers_[k].get();
             checks_.add("fleet-flow-conservation",
                         [b](Tick, std::string &why) {
-                if (b->flowsCreated() ==
-                    b->flowsRetired() + b->flowsActive())
+                const LbCounters &c = b->counters();
+                if (c.flowsCreated == c.flowsRetired + b->flowsActive())
                     return true;
-                why = "created " + std::to_string(b->flowsCreated()) +
-                      " != retired " + std::to_string(b->flowsRetired()) +
+                why = "created " + std::to_string(c.flowsCreated) +
+                      " != retired " + std::to_string(c.flowsRetired) +
                       " + active " + std::to_string(b->flowsActive());
                 return false;
             });
@@ -213,12 +208,12 @@ FleetTestbed::FleetTestbed(const FleetConfig &cfg)
             });
             checks_.add("fleet-drain-accounting",
                         [b](Tick, std::string &why) {
-                if (b->drainsStarted() >= b->drainsCompleted())
+                const LbCounters &c = b->counters();
+                if (c.drainsStarted >= c.drainsCompleted)
                     return true;
                 why = "drains completed " +
-                      std::to_string(b->drainsCompleted()) +
-                      " exceed started " +
-                      std::to_string(b->drainsStarted());
+                      std::to_string(c.drainsCompleted) +
+                      " exceed started " + std::to_string(c.drainsStarted);
                 return false;
             });
         }
@@ -251,7 +246,7 @@ FleetTestbed::buildGeneration(int s)
     if (cfg_.base.app == AppKind::kHaproxy) {
         auto proxy = std::make_unique<Proxy>(*g.machine, backendAddrs_,
                                              cfg_.base.backendPort,
-                                             cfg_.base.responseBytes);
+                                             kResponseBytes);
         if (cfg_.base.backendTimeout > 0) {
             Proxy::Tuning pt;
             pt.backendTimeout = cfg_.base.backendTimeout;
@@ -260,7 +255,7 @@ FleetTestbed::buildGeneration(int s)
         g.app = std::move(proxy);
     } else {
         g.app = std::make_unique<WebServer>(
-            *g.machine, cfg_.base.responseBytes,
+            *g.machine, kResponseBytes,
             cfg_.base.requestsPerConn > 1 ||
                 cfg_.base.longLivedPermille > 0);
     }
@@ -400,7 +395,7 @@ FleetTestbed::armFleetFaults()
                     const bool on = phase % 2 == 0;
                     eq_->schedule(at,
                                   [this, t, on, permille, loss, delay] {
-                        ++flapTransitions_;
+                        ++orch_.flapTransitions;
                         if (on)
                             degradeMachine(t, permille, loss, delay);
                         else
@@ -431,7 +426,7 @@ FleetTestbed::armFleetFaults()
                     p.start = start;
                     p.end = end;
                     fabric_->addPartition(p);
-                    ++partitionsArmed_;
+                    ++orch_.partitionsArmed;
                 }
             }
             // A single-machine side pins the incident to that slot so
@@ -482,7 +477,7 @@ FleetTestbed::degradeMachine(int s, std::uint32_t permille,
     sl.slowPermille = permille < 1000 ? 1000 : permille;
     sl.nicLoss = nicLoss;
     sl.nicDelay = nicDelay;
-    ++degradesApplied_;
+    ++orch_.degradesApplied;
     applyDegrade(s);
 }
 
@@ -504,7 +499,7 @@ FleetTestbed::crashMachine(int s, FaultEvent::CrashMode mode, bool admin)
         return;
     sl.up = false;
     if (!admin)
-        ++crashes_;
+        ++orch_.crashes;
 
     // TX side: the zombie kernel's future transmissions die at its port.
     sl.gen.port->setTxOpen(false);
@@ -519,7 +514,7 @@ FleetTestbed::crashMachine(int s, FaultEvent::CrashMode mode, bool admin)
     for (IpAddr a : sl.gen.port->attachedAddrs()) {
         if (blackhole) {
             fabric_->attach(a, [this](const Packet &) {
-                ++blackholed_;
+                ++orch_.blackholed;
             });
         } else {
             fabric_->attach(a, [this](const Packet &pkt) {
@@ -529,7 +524,7 @@ FleetTestbed::crashMachine(int s, FaultEvent::CrashMode mode, bool admin)
                 rst.tuple = pkt.tuple.reversed();
                 rst.flags = kRst;
                 rst.connId = pkt.connId;
-                ++corpseRsts_;
+                ++orch_.corpseRsts;
                 fabric_->transmit(rst, eq_->now());
             });
         }
@@ -568,7 +563,7 @@ FleetTestbed::restartMachine(int s)
     ++sl.generation;
     buildGeneration(s);
     sl.up = true;
-    ++restarts_;
+    ++orch_.restarts;
     for (auto &b : balancers_)
         b->noteRestarted(s);
 
@@ -678,12 +673,12 @@ FleetTestbed::crashBalancer(int k)
     if (!lbUp_.at(k))
         return;
     lbUp_[k] = false;
-    ++lbCrashes_;
+    ++orch_.lbCrashes;
     balancers_[k]->setDown(true);
     fabric_->attach(vipAddr(k),
-                    [this](const Packet &) { ++blackholed_; });
+                    [this](const Packet &) { ++orch_.blackholed; });
     fabric_->attach(natAddr(k),
-                    [this](const Packet &) { ++blackholed_; });
+                    [this](const Packet &) { ++orch_.blackholed; });
     // A surviving peer adopts the VIP after the detection lag.
     eq_->scheduleIn(ticksFromMsec(cfg_.takeoverDelayMsec), [this, k] {
         if (lbUp_[k])
@@ -691,7 +686,7 @@ FleetTestbed::crashBalancer(int k)
         for (std::size_t kk = 0; kk < balancers_.size(); ++kk) {
             if (lbUp_[kk]) {
                 balancers_[kk]->adoptVip(vipAddr(k));
-                ++vipTakeovers_;
+                ++orch_.vipTakeovers;
                 return;
             }
         }
@@ -775,7 +770,7 @@ FleetTestbed::currentShedTotal() const
 {
     std::uint64_t shed = 0;
     for (const auto &b : balancers_)
-        shed += b->shedNoBackend() + b->shedCapacity();
+        shed += b->counters().shedNoBackend + b->counters().shedCapacity;
     forEachGeneration([&shed](const Generation &g) {
         if (g.admission)
             shed += g.admission->shed();
@@ -1065,15 +1060,15 @@ FleetTestbed::currentFingerprint() const
     });
     for (const auto &b : balancers_)
         fp.mix(b->counterHash());
-    fp.mix(crashes_);
-    fp.mix(restarts_);
-    fp.mix(lbCrashes_);
-    fp.mix(vipTakeovers_);
-    fp.mix(corpseRsts_);
-    fp.mix(blackholed_);
-    fp.mix(degradesApplied_);
-    fp.mix(flapTransitions_);
-    fp.mix(partitionsArmed_);
+    fp.mix(orch_.crashes);
+    fp.mix(orch_.restarts);
+    fp.mix(orch_.lbCrashes);
+    fp.mix(orch_.vipTakeovers);
+    fp.mix(orch_.corpseRsts);
+    fp.mix(orch_.blackholed);
+    fp.mix(orch_.degradesApplied);
+    fp.mix(orch_.flapTransitions);
+    fp.mix(orch_.partitionsArmed);
     fp.mix(fabric_->partitionDropped());
     fp.mix(incidents_.hash());
     return fp.value();
@@ -1295,52 +1290,31 @@ FleetTestbed::collect()
 
     // Fleet block.
     FleetResult &fl = r.fleet;
+    fl = orch_;
     fl.enabled = true;
     fl.serverMachines = cfg_.serverMachines;
     fl.balancers = cfg_.balancers;
     fl.policy = L4Balancer::policyName(cfg_.policy);
+    // Every fleet field named after a balancer counter sums it over the
+    // tier.
+    auto addCounters = [&fl](const auto &c) {
+#define RESULT_METRIC_fleet(field, key, type, better, gate) \
+        if constexpr (requires { c.field; })                 \
+            fl.field += c.field;
+#include "stats/result_metrics.def"
+    };
     for (const auto &b : balancers_) {
-        fl.flowsCreated += b->flowsCreated();
-        fl.flowsRetired += b->flowsRetired();
+        addCounters(b->counters());
         fl.flowsActive += b->flowsActive();
-        fl.flowsActivePeak += b->flowsActivePeak();
-        fl.tupleReuse += b->tupleReuse();
-        fl.idleRetired += b->idleRetired();
-        fl.forwardedC2s += b->forwardedC2s();
-        fl.forwardedS2c += b->forwardedS2c();
-        fl.shedNoBackend += b->shedNoBackend();
-        fl.shedCapacity += b->shedCapacity();
-        fl.natRsts += b->natRsts();
-        fl.boundedLoadFallbacks += b->boundedLoadFallbacks();
-        fl.pressureAvoids += b->pressureAvoids();
-        fl.probesSent += b->probesSent();
-        fl.probeFailures += b->probeFailures();
-        fl.ejections += b->ejections();
-        fl.readmissions += b->readmissions();
-        fl.drainsStarted += b->drainsStarted();
-        fl.drainsCompleted += b->drainsCompleted();
-        fl.undrainedFlows += b->undrainedFlows();
-        fl.scoreEjections += b->scoreEjections();
-        fl.rampSkips += b->rampSkips();
-        fl.ejectionsCapped += b->ejectionsCapped();
     }
     fl.healthMode = L4Balancer::healthModeName(cfg_.healthMode);
-    fl.restarts = restarts_;
-    fl.crashes = crashes_;
-    fl.lbCrashes = lbCrashes_;
-    fl.vipTakeovers = vipTakeovers_;
     forEachGeneration([&fl](const Generation &g) {
         fl.txSuppressed += g.port->txSuppressed();
         fl.degradeDropped += g.port->degradeDropped();
         fl.degradeDelayed += g.port->degradeDelayed();
     });
-    fl.corpseRsts = corpseRsts_;
-    fl.blackholed = blackholed_;
     fl.linkPackets = fabric_->linkPackets();
     fl.linkQueuedTicks = fabric_->linkQueuedTicks();
-    fl.degradesApplied = degradesApplied_;
-    fl.flapTransitions = flapTransitions_;
-    fl.partitionsArmed = partitionsArmed_;
     fl.partitionDropped = fabric_->partitionDropped();
     fl.incidentsTotal = incidents_.count();
     double mttdSum = 0.0, mttrSum = 0.0;

@@ -105,15 +105,13 @@ referenceLockDelta(const std::map<std::string, LockClassStats> &before,
 inline ReferenceTestbed::ReferenceTestbed(const ExperimentConfig &cfg)
     : cfg_(cfg)
 {
-    // Hardening shorthands fold into the kernel config before the
-    // machine exists; defaults leave it untouched.
-    if (cfg_.synCookies)
-        cfg_.machine.kernel.synCookies = true;
+    // The SYN-queue shorthand folds into the kernel config before the
+    // machine exists; the default leaves it untouched.
     if (cfg_.synBacklog > 0)
         cfg_.machine.kernel.synBacklog = cfg_.synBacklog;
 
     eq_ = std::make_unique<EventQueue>();
-    wire_ = std::make_unique<Wire>(*eq_, cfg_.wireDelay);
+    wire_ = std::make_unique<Wire>(*eq_, kWireDelay);
     if (cfg_.lossRate > 0.0)
         wire_->setLossRate(cfg_.lossRate, cfg_.machine.seed ^ 0x10ad);
     machine_ = std::make_unique<Machine>(*eq_, *wire_, cfg_.machine);
@@ -126,7 +124,7 @@ inline ReferenceTestbed::ReferenceTestbed(const ExperimentConfig &cfg)
         IpAddr bfirst = 0x0a010001;   // 10.1.0.1
         IpAddr blast = bfirst + static_cast<IpAddr>(cfg_.backendCount - 1);
         backends_ = std::make_unique<BackendPool>(
-            *eq_, *wire_, bfirst, blast, cfg_.responseBytes,
+            *eq_, *wire_, bfirst, blast, kResponseBytes,
             ticksFromUsec(100));
         backends_->setKeepAlive(cfg_.backendKeepAlive);
         std::vector<IpAddr> baddrs;
@@ -134,7 +132,7 @@ inline ReferenceTestbed::ReferenceTestbed(const ExperimentConfig &cfg)
             baddrs.push_back(a);
         auto proxy = std::make_unique<Proxy>(*machine_, baddrs,
                                              cfg_.backendPort,
-                                             cfg_.responseBytes);
+                                             kResponseBytes);
         if (cfg_.backendTimeout > 0) {
             Proxy::Tuning pt;
             pt.backendTimeout = cfg_.backendTimeout;
@@ -142,7 +140,7 @@ inline ReferenceTestbed::ReferenceTestbed(const ExperimentConfig &cfg)
         }
         app_ = std::move(proxy);
     } else {
-        app_ = std::make_unique<WebServer>(*machine_, cfg_.responseBytes,
+        app_ = std::make_unique<WebServer>(*machine_, kResponseBytes,
                                            cfg_.requestsPerConn > 1 ||
                                                cfg_.longLivedPermille > 0);
     }
@@ -163,14 +161,11 @@ inline ReferenceTestbed::ReferenceTestbed(const ExperimentConfig &cfg)
     lc.serverAddrs = machine_->addrs();
     lc.serverPort = machine_->servicePort();
     lc.concurrency = cfg_.concurrencyPerCore * machine_->numCores();
-    lc.requestBytes = cfg_.requestBytes;
     lc.requestsPerConn = cfg_.requestsPerConn;
     lc.timeout = cfg_.clientTimeout;
     lc.seed = cfg_.machine.seed ^ 0xabcdef;
     lc.maxConns = cfg_.maxConns;
     lc.rtoBase = cfg_.clientRtoBase;
-    lc.rtoMax = cfg_.clientRtoMax;
-    lc.maxRetx = cfg_.clientMaxRetx;
     lc.healthEvery = cfg_.clientHealthEvery;
     if (cfg_.machine.overload.healthRequestBytes > 0)
         lc.healthRequestBytes = cfg_.machine.overload.healthRequestBytes;

@@ -326,7 +326,7 @@ TEST(FaultEndToEnd, SynFloodWithCookiesKeepsServing)
 {
     ExperimentConfig cfg = smallConfig(AppKind::kNginx);
     setPlan(cfg, "syn_flood@0.01-0.02:rate=100000");
-    cfg.synCookies = true;
+    cfg.machine.kernel.synCookies = true;
     cfg.synBacklog = 64;
     cfg.machine.kernel.synRcvdJiffies = 300;
 

@@ -99,7 +99,7 @@ TEST(TestbedDiff, LossyFaultPlanIgnoresFleetEvents)
     cfg.lossRate = 0.01;
     cfg.clientTimeout = ticksFromMsec(15);
     cfg.clientRtoBase = ticksFromUsec(3000);
-    cfg.synCookies = true;
+    cfg.machine.kernel.synCookies = true;
     cfg.synBacklog = 64;
     cfg.backendTimeout = ticksFromMsec(5);
     std::string err;

@@ -6,33 +6,26 @@ Usage: bench_compare.py <baseline.json> <candidate.json>
 
 Rows are matched by label (rows present in only one document are
 reported but are not regressions). For each matched row the selected
-metrics are compared against the baseline:
+metrics are compared against the baseline. By default that is every
+metric with a gate direction:
 
-  - throughput metrics (cps, rps, served): higher is better; a drop of
-    more than the noise threshold is a regression
-  - overload latency percentiles (latency_p50_ticks, latency_p99_ticks,
-    compared only when both rows have latency samples): lower is
-    better; a rise of more than the threshold is a regression
-  - memory cost per connection (bytes_per_conn from the v6 conn block,
-    compared only when both rows held TCBs): lower is better; per-TCB
-    bloat gates exactly like a latency regression
-  - DES-core throughput (events_per_sec, wall_per_sim_sec from the v7
-    sim_core block, compared only when both rows are wall-stamped):
-    events_per_sec higher is better, wall_per_sim_sec lower is better
-  - fleet health (request_success_ratio higher is better,
-    flows_active_peak lower is better, from the v8 fleet block;
-    compared only on rows where the fleet tier is enabled)
-  - incident response (mttd_ms_mean / mttr_ms_mean from the v9 fleet
-    block, compared only when both rows detected / recovered at least
-    one incident): lower is better
-  - burn-alert reaction time (slo_first_fast_alert_ms from the v10
-    fleet block, compared only when both rows fired at least one fast
-    alert): lower is better
-  - sampled time series (v10 "timeseries" block) by name: pass
-    --metrics=ts:<series> (higher is better) or ts-:<series> (lower is
-    better) to compare the final sampled value of that series, e.g.
-    --metrics=ts-:m0.time_wait. A series the baseline sampled but the
-    candidate does not is an explicit MISSING regression.
+  - the metrics, overload, conn and fleet keys the metric catalog
+    (src/stats/result_metrics.def, read through metric_catalog.py)
+    marks higher or lower is better, e.g. cps, latency_p99_ticks,
+    bytes_per_conn, request_success_ratio, mttr_ms_mean. A metric is
+    compared only on rows where every key on its catalog gate chain is
+    nonzero: a percentile needs latency samples, bytes_per_conn needs
+    TCBs, a fleet metric needs the fleet tier, a mean over incidents
+    needs an incident
+  - DES-core host rates (events_per_sec higher is better,
+    wall_per_sim_sec lower is better, from the sim_core block),
+    compared only when both rows are wall-stamped
+
+--metrics= selects any of those by key, or a sampled time series
+("timeseries" block) by name: ts:<series> (higher is better) or
+ts-:<series> (lower is better) compares the final sampled value of
+that series, e.g. --metrics=ts-:m0.time_wait. A series the baseline
+sampled but the candidate does not is an explicit MISSING regression.
 
 Sign convention: the percentage in every REGRESSION / IMPROVED line is
 the magnitude of the move measured against the metric's gate, and the
@@ -60,18 +53,30 @@ import json
 import math
 import sys
 
+import metric_catalog
+
 DEFAULT_THRESHOLD = 0.05
-HIGHER_BETTER = ("cps", "rps", "served", "events_per_sec",
-                 "request_success_ratio")
-LOWER_BETTER = ("latency_p50_ticks", "latency_p99_ticks",
-                "bytes_per_conn", "wall_per_sim_sec",
-                "flows_active_peak", "mttd_ms_mean", "mttr_ms_mean",
-                "slo_first_fast_alert_ms")
 MIN_SCHEMA = 2
+# Wall-clock rates of the host running the simulator, not simulated
+# results, so they are not in the catalog.
+HOST_RATES = {"events_per_sec": "higher", "wall_per_sim_sec": "lower"}
+GATED = {m.key: m for m in metric_catalog.CATALOG if m.better != "none"}
+
+
+def default_metrics():
+    """Every gated metric, higher-is-better first, each group in
+    document order (sim_core sits between conn and fleet)."""
+    order = ("metrics", "overload", "conn", "sim_core", "fleet")
+    named = [(m.key, m.better, m.block) for m in GATED.values()]
+    named += [(k, b, "sim_core") for k, b in HOST_RATES.items()]
+    named.sort(key=lambda n: (n[1] != "higher", order.index(n[2])))
+    return [n[0] for n in named]
 
 
 def is_lower_better(name):
-    return name in LOWER_BETTER or name.startswith("ts-:")
+    if name in GATED:
+        return GATED[name].better == "lower"
+    return HOST_RATES.get(name) == "lower" or name.startswith("ts-:")
 
 
 def as_float(v):
@@ -105,7 +110,7 @@ def load(path):
 def metric_value(row, name):
     """Fetch a metric by name; None when absent or not comparable."""
     if name.startswith("ts:") or name.startswith("ts-:"):
-        # v10 timeseries: final sampled value of the named series.
+        # Final sampled value of the named series.
         ts = row.get("timeseries", {})
         if not ts.get("enabled"):
             return None
@@ -114,45 +119,17 @@ def metric_value(row, name):
             if se.get("name") == want and se.get("points"):
                 return as_float(se["points"][-1][1])
         return None
-    if name == "slo_first_fast_alert_ms":
-        # v10 SLO: reaction time exists only once a fast alert fired.
-        fl = row.get("fleet", {})
-        if not fl.get("enabled") or not fl.get("slo_fast_alerts"):
-            return None
-        return as_float(fl.get(name))
-    if name in ("events_per_sec", "wall_per_sim_sec"):
-        # v7 sim_core: only wall-stamped rows carry these, so unstamped
-        # baselines/candidates simply skip the comparison.
+    if name in HOST_RATES:
+        # Only wall-stamped rows carry these, so unstamped baselines
+        # and candidates simply skip the comparison.
         return as_float(row.get("sim_core", {}).get(name))
-    if name in ("request_success_ratio", "flows_active_peak"):
-        # v8 fleet: meaningful only on rows with the fleet tier up.
-        fl = row.get("fleet", {})
-        if not fl.get("enabled"):
-            return None
-        return as_float(fl.get(name))
-    if name in ("mttd_ms_mean", "mttr_ms_mean"):
-        # v9 incidents: a mean over zero incidents is not a datum.
-        fl = row.get("fleet", {})
-        if not fl.get("enabled"):
-            return None
-        gate = ("incidents_detected" if name == "mttd_ms_mean"
-                else "incidents_recovered")
-        if not fl.get(gate):
-            return None
-        return as_float(fl.get(name))
-    if name in HIGHER_BETTER:
-        return as_float(row.get("metrics", {}).get(name))
-    if name == "bytes_per_conn":
-        cn = row.get("conn", {})
-        if not cn.get("tcb_live_peak"):
-            return None     # no TCBs ever -> per-conn cost undefined
-        return as_float(cn.get(name))
-    if name in LOWER_BETTER:
-        ov = row.get("overload", {})
-        if not ov.get("latency_samples"):
-            return None     # no samples -> percentile is meaningless
-        return as_float(ov.get(name))
-    return None
+    m = GATED.get(name)
+    if m is None:
+        return None
+    blk = row.get(m.block, {})
+    if not all(blk.get(g) for g in metric_catalog.gates(m)):
+        return None
+    return as_float(blk.get(name))
 
 
 def compare_rows(label, base, cand, metrics, threshold):
@@ -199,7 +176,7 @@ def compare_rows(label, base, cand, metrics, threshold):
 def main(argv):
     paths = []
     threshold = DEFAULT_THRESHOLD
-    metrics = list(HIGHER_BETTER) + list(LOWER_BETTER)
+    metrics = default_metrics()
     for a in argv[1:]:
         if a.startswith("--threshold="):
             try:

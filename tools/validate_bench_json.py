@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a bench --json export against the versioned schema.
+"""Validate a bench --json export against the exporter's schema.
 
 Usage: validate_bench_json.py [--quiet] <file.json> [<file.json> ...]
 
@@ -11,6 +11,11 @@ suppressed and only violations print.
 Checks (stdlib only, used by CI and by hand after editing the exporter):
   - schema_version is exactly the exporter's version (SCHEMA_VERSION)
   - required top-level / per-row keys are present with sane types
+  - every key the metric catalog (src/stats/result_metrics.def, which
+    the exporter is built from) declares for the metrics, overload,
+    conn and fleet blocks is present with a JSON value of its C++ type,
+    and reads zero while a key on its gate chain does (a disabled
+    overload or fleet block counts nothing, no MTTR without incidents)
   - per-core phase fractions each sum to 1.0 +/- 1e-6
   - folded stacks are well formed; lock windows are ordered and carry
     completed/goodput plus the SYN-counter deltas
@@ -21,33 +26,31 @@ Checks (stdlib only, used by CI and by hand after editing the exporter):
   - the fingerprint is a 16-hex-digit string and the invariants object
     is consistent (violations == 0 <=> failed list empty)
   - the faults block is consistent (armed <=> non-empty plan)
-  - the overload block is internally consistent: enabled <=> non-empty
-    spec, offered == admitted + degraded + shed, the shed reasons
-    decompose the total, admitted connections are all released or in
-    flight, and a disabled row sheds/drops nothing
+  - overload: enabled <=> non-empty spec, offered == admitted +
+    degraded + shed, the shed reasons decompose the total, and
+    admitted connections are all released or in flight
   - the latency_stages block (span forensics): stage rows carry
     monotone p50 <= p90 <= p99 <= p999 <= max percentiles and
     exemplars are structurally sound
-  - the conn block (connection-lifetime census): TCB arena gauges vs
-    peaks, bytes_per_conn > 0 whenever TCBs existed, TIME_WAIT
-    arithmetic (entered >= reaped + recycled + reused + lingering),
-    ehash probe averages consistent with their numerators, and
-    structurally sound ramp checkpoints
+  - conn (connection-lifetime census): TCB arena gauges vs peaks,
+    bytes_per_conn > 0 whenever TCBs existed, TIME_WAIT arithmetic
+    (entered >= reaped + recycled + reused + lingering), avg_probe_len
+    consistent with its numerators, and structurally sound ramp
+    checkpoints
   - the sim_core block (DES-core throughput): events_run /
     events_scheduled / sim_ticks always present and non-negative; the
     wall-clock trio (wall_seconds, events_per_sec, wall_per_sim_sec)
     appears all-or-none and, when present, is positive and consistent
     (events_per_sec == events_run / wall_seconds)
-  - the fleet block (N-machine topology + L4 balancer tier): disabled
-    rows carry all-zero counters; flow conservation (created == retired
-    + active), active <= active_peak, drains started >= completed,
-    probe failures <= probes sent, request_success_ratio in [0, 1];
-    health_mode is "binary"/"score", score_ejections <= ejections, the
-    incident funnel is monotone (recovered <= detected <= total) with
-    non-negative MTTD/MTTR means that are zero when nothing was
-    detected/recovered; trace accounting is monotone (stitched/orphans
-    <= completed <= started) and the burn-alert timestamp is present
-    iff an alert fired
+  - fleet (N-machine topology + L4 balancer tier), on enabled rows:
+    flow conservation (created == retired + active), active <=
+    active_peak, drains started >= completed, probe failures <= probes
+    sent, request_success_ratio in [0, 1]; health_mode is
+    "binary"/"score", score_ejections <= ejections, the incident
+    funnel is monotone (recovered <= detected <= total) with
+    non-negative MTTD/MTTR means; trace accounting is monotone
+    (stitched/orphans <= completed <= started) and a fired burn alert
+    has a positive timestamp
   - the timeseries block (known metric kinds, strictly monotone sample
     ticks, positive sample period when enabled) and the fleet_trace
     block (monotone p50 <= p99 <= p999 <= max per hop, shares in
@@ -59,6 +62,8 @@ import json
 import re
 import sys
 
+import metric_catalog
+
 SCHEMA_VERSION = 11
 MAX_TIMELINE_SAMPLES = 512
 
@@ -66,27 +71,13 @@ WINDOW_KEYS = ("completed", "goodput", "syn_retransmits",
                   "syn_cookies_sent", "syn_cookies_validated",
                   "accept_queue_rsts")
 FAULTS_KEYS = ("plan", "armed", "syn_cookies")
-OVERLOAD_KEYS = ("enabled", "spec", "offered", "admitted", "degraded",
-                 "shed", "shed_deadline", "shed_worker_cap",
-                 "shed_pressure", "released", "inflight",
-                 "health_offered", "health_admitted", "served_degraded",
-                 "backlog_dropped", "syn_gate_dropped",
-                 "pressure_transitions", "pressure_level",
-                 "pressure_peak", "softirq_depth_peak",
-                 "accept_depth_peak", "epoll_ready_peak",
-                 "latency_p50_ticks", "latency_p99_ticks",
-                 "latency_samples", "health_probes_started",
-                 "health_probes_completed", "health_probes_failed")
-# Zero on a disabled row: no admission verdicts, no kernel gate drops.
-OVERLOAD_DISABLED_ZERO_KEYS = ("offered", "admitted", "degraded", "shed",
-                               "released", "inflight", "served_degraded",
-                               "backlog_dropped", "syn_gate_dropped")
 
 ROW_KEYS = ("label", "config", "metrics", "phases", "folded_stacks",
             "locks", "lock_windows", "queue_timelines", "trace",
             "fingerprint", "invariants")
 CONFIG_KEYS = ("app", "cores", "flavor")
-METRIC_KEYS = ("cps", "rps", "served", "core_util")
+# The metrics block's keys besides the catalog's scalars.
+METRIC_EXTRA_KEYS = ("avg_util", "max_util", "core_util")
 PHASE_KEYS = ("names", "per_core", "machine")
 TRACE_KEYS = ("window_span", "events_recorded", "events_overwritten")
 INVARIANT_KEYS = ("checks_run", "violations", "failed")
@@ -101,33 +92,6 @@ EXEMPLAR_KEYS = ("percentile", "conn_id", "latency", "unattributed",
 
 SIM_CORE_KEYS = ("events_run", "events_scheduled", "sim_ticks")
 
-FLEET_KEYS = ("enabled", "server_machines", "balancers", "policy",
-              "flows_created", "flows_retired", "flows_active",
-              "flows_active_peak", "tuple_reuse", "idle_retired",
-              "forwarded_c2s", "forwarded_s2c", "shed_no_backend",
-              "shed_capacity", "nat_rsts", "bounded_load_fallbacks",
-              "pressure_avoids", "probes_sent", "probe_failures",
-              "ejections", "readmissions", "drains_started",
-              "drains_completed", "undrained_flows", "restarts",
-              "crashes", "lb_crashes", "vip_takeovers", "tx_suppressed",
-              "corpse_rsts", "blackholed", "link_packets",
-              "link_queued_ticks", "request_success_ratio",
-              "health_mode", "score_ejections", "ramp_skips",
-              "ejections_capped", "degrades_applied",
-              "flap_transitions", "partitions_armed",
-              "degrade_dropped", "degrade_delayed",
-              "partition_dropped", "incidents_total",
-              "incidents_detected", "incidents_recovered",
-              "mttd_ms_mean", "mttr_ms_mean",
-              "traces_started", "traces_completed",
-              "traces_stitched", "trace_orphans",
-              "trace_duplicates", "span_reconcile_violations",
-              "slo_fast_alerts", "slo_slow_alerts",
-              "slo_first_fast_alert_ms")
-# Zero on a single-machine (fleet-disabled) row: no balancer tier ran.
-FLEET_DISABLED_ZERO_KEYS = tuple(
-    k for k in FLEET_KEYS if k not in ("enabled", "policy", "health_mode"))
-
 TIMESERIES_KEYS = ("enabled", "sample_period", "series")
 SERIES_KEYS = ("name", "kind", "points")
 METRIC_KINDS = ("counter", "gauge", "histogram")
@@ -137,19 +101,25 @@ FLEET_TRACE_KEYS = ("enabled", "traces_completed", "orphans",
                     "dominant_p999", "hops")
 HOP_ROW_KEYS = ("hop", "p50", "p99", "p999", "max", "share")
 
-CONN_KEYS = ("tcb_live", "tcb_live_peak", "tcb_created", "slab_bytes",
-             "bytes_per_conn", "established_curr", "established_peak",
-             "time_wait_curr", "time_wait_peak", "time_wait_entered",
-             "time_wait_reaped", "time_wait_recycled", "time_wait_reused",
-             "time_wait_syn_dropped", "time_wait_acks",
-             "port_alloc_failures", "ehash_lookups",
-             "ehash_probes_walked", "ehash_lookup_cycles",
-             "ehash_resizes", "avg_probe_len", "cycles_per_lookup",
-             "ramp")
 RAMP_KEYS = ("live", "bytes_per_conn", "cycles_per_lookup",
              "avg_probe_len")
 
 FINGERPRINT_RE = re.compile(r"^0x[0-9a-f]{16}$")
+
+
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# The JSON values a catalog member of each C++ type may export as.
+JSON_TYPE_OK = {
+    "bool": lambda v: isinstance(v, bool),
+    "std::string": lambda v: isinstance(v, str),
+    "double": _number,
+    "int": lambda v: _number(v) and isinstance(v, int),
+    "std::uint64_t": lambda v: _number(v) and isinstance(v, int) and v >= 0,
+}
+JSON_TYPE_OK["Tick"] = JSON_TYPE_OK["std::uint64_t"]
 
 
 class Checker:
@@ -174,6 +144,32 @@ class Checker:
 
     def ok(self):
         return not self.errors
+
+
+def check_catalog_block(c, row, where, name):
+    """Every catalog key of block @p name is present with its type, and
+    reads zero while a key on its gate chain reads zero. Returns the
+    block when the catalog part is sound, else None."""
+    blk = row.get(name)
+    if not isinstance(blk, dict):
+        c.fail(f"{where}.{name} missing or malformed")
+        return None
+    metrics = metric_catalog.block(name)
+    sound = True
+    for m in metrics:
+        if m.key not in blk:
+            sound = c.fail(f"{where}.{name} missing key '{m.key}'")
+        elif not JSON_TYPE_OK[m.type](blk[m.key]):
+            sound = c.fail(f"{where}.{name}.{m.key} {blk[m.key]!r} is "
+                           f"not a JSON {m.type}")
+    if not sound:
+        return None
+    dirty = [m.key for m in metrics if blk[m.key] and
+             any(not blk[g] for g in metric_catalog.gates(m))]
+    if dirty:
+        c.fail(f"{where}.{name}: non-zero {dirty} while a gate reads "
+               f"zero")
+    return blk
 
 
 def check_phases(c, row, where):
@@ -252,14 +248,8 @@ def check_faults(c, row, where):
 
 
 def check_overload(c, row, where):
-    ov = row.get("overload")
-    if not isinstance(ov, dict):
-        c.fail(f"{where}.overload missing or malformed")
-        return
-    if not c.require(ov, OVERLOAD_KEYS, f"{where}.overload"):
-        return
-    if not isinstance(ov["spec"], str):
-        c.fail(f"{where}.overload.spec is not a string")
+    ov = check_catalog_block(c, row, where, "overload")
+    if ov is None:
         return
     if bool(ov["enabled"]) != bool(ov["spec"]):
         c.fail(f"{where}.overload: enabled={ov['enabled']!r} "
@@ -276,10 +266,6 @@ def check_overload(c, row, where):
                f"inflight")
     if ov["health_admitted"] > ov["health_offered"]:
         c.fail(f"{where}.overload: health_admitted > health_offered")
-    if not ov["enabled"]:
-        dirty = [k for k in OVERLOAD_DISABLED_ZERO_KEYS if ov[k]]
-        if dirty:
-            c.fail(f"{where}.overload: disabled but non-zero {dirty}")
 
 
 def check_latency_stages(c, row, where):
@@ -314,11 +300,8 @@ def check_latency_stages(c, row, where):
 
 
 def check_conn(c, row, where):
-    cn = row.get("conn")
-    if not isinstance(cn, dict):
-        c.fail(f"{where}.conn missing or malformed")
-        return
-    if not c.require(cn, CONN_KEYS, f"{where}.conn"):
+    cn = check_catalog_block(c, row, where, "conn")
+    if cn is None:
         return
     if cn["tcb_live"] > cn["tcb_live_peak"]:
         c.fail(f"{where}.conn: tcb_live > peak")
@@ -338,15 +321,12 @@ def check_conn(c, row, where):
     if cn["time_wait_entered"] < accounted:
         c.fail(f"{where}.conn: TIME_WAIT exits ({accounted}) exceed "
                f"entries ({cn['time_wait_entered']})")
-    if cn["ehash_lookups"] == 0 and (cn["avg_probe_len"] != 0 or
-                                     cn["cycles_per_lookup"] != 0):
-        c.fail(f"{where}.conn: probe averages with zero lookups")
     if cn["ehash_lookups"] > 0:
         avg = cn["ehash_probes_walked"] / cn["ehash_lookups"]
         if abs(avg - cn["avg_probe_len"]) > 1e-6 * max(1.0, avg):
             c.fail(f"{where}.conn: avg_probe_len "
                    f"{cn['avg_probe_len']!r} != probes/lookups {avg!r}")
-    ramp = cn["ramp"]
+    ramp = cn.get("ramp")
     if not isinstance(ramp, list):
         c.fail(f"{where}.conn.ramp is not a list")
         return
@@ -397,22 +377,8 @@ def check_sim_core(c, row, where):
 
 
 def check_fleet(c, row, where):
-    fl = row.get("fleet")
-    if not isinstance(fl, dict):
-        c.fail(f"{where}.fleet missing or malformed")
-        return
-    if not c.require(fl, FLEET_KEYS, f"{where}.fleet"):
-        return
-    if not isinstance(fl["policy"], str):
-        c.fail(f"{where}.fleet.policy is not a string")
-        return
-    if not isinstance(fl["health_mode"], str):
-        c.fail(f"{where}.fleet.health_mode is not a string")
-        return
-    if not fl["enabled"]:
-        dirty = [k for k in FLEET_DISABLED_ZERO_KEYS if fl[k]]
-        if dirty:
-            c.fail(f"{where}.fleet: disabled but non-zero {dirty}")
+    fl = check_catalog_block(c, row, where, "fleet")
+    if fl is None or not fl["enabled"]:
         return
     if fl["server_machines"] < 1 or fl["balancers"] < 1:
         c.fail(f"{where}.fleet: enabled with empty topology")
@@ -440,12 +406,9 @@ def check_fleet(c, row, where):
             fl["incidents_total"]):
         c.fail(f"{where}.fleet: incident funnel not monotone "
                f"(recovered <= detected <= total)")
-    for mk, ck in (("mttd_ms_mean", "incidents_detected"),
-                   ("mttr_ms_mean", "incidents_recovered")):
+    for mk in ("mttd_ms_mean", "mttr_ms_mean"):
         if fl[mk] < 0:
             c.fail(f"{where}.fleet.{mk} negative")
-        if fl[ck] == 0 and fl[mk] != 0:
-            c.fail(f"{where}.fleet.{mk} non-zero with {ck} == 0")
 
     # Trace accounting is a funnel: a trace completes at most once and
     # stitches/orphans/duplicates never outnumber what was seen.
@@ -457,9 +420,6 @@ def check_fleet(c, row, where):
         c.fail(f"{where}.fleet: trace_orphans > traces_completed")
     if fl["slo_first_fast_alert_ms"] < 0:
         c.fail(f"{where}.fleet.slo_first_fast_alert_ms negative")
-    if fl["slo_fast_alerts"] == 0 and fl["slo_first_fast_alert_ms"] != 0:
-        c.fail(f"{where}.fleet: slo_first_fast_alert_ms non-zero with "
-               f"slo_fast_alerts == 0")
     if fl["slo_fast_alerts"] > 0 and fl["slo_first_fast_alert_ms"] <= 0:
         c.fail(f"{where}.fleet: slo_fast_alerts fired but "
                f"slo_first_fast_alert_ms is not positive")
@@ -587,7 +547,9 @@ def validate(path, quiet=False):
                 structural = (
                     c.require(row["config"], CONFIG_KEYS,
                               f"{where}.config") &
-                    c.require(row["metrics"], METRIC_KEYS,
+                    (check_catalog_block(c, row, where, "metrics")
+                     is not None) &
+                    c.require(row["metrics"], METRIC_EXTRA_KEYS,
                               f"{where}.metrics") &
                     c.require(row["phases"], PHASE_KEYS,
                               f"{where}.phases") &
