@@ -37,7 +37,7 @@ namespace
 {
 
 int
-runOne(const fsim::DifferentialWorkload &wl, const char *name)
+runOne(const fsim::Scenario &wl, const char *name)
 {
     using namespace fsim;
     std::printf("=== %s, %d cores, %llu connections%s%s ===\n", name,
@@ -52,8 +52,8 @@ runOne(const fsim::DifferentialWorkload &wl, const char *name)
 /** The lossy pass: whole-run random drops both kernels must absorb
  *  with byte-identical application output (see the file comment for
  *  why the window must cover the entire run). */
-fsim::DifferentialWorkload
-withLossBurst(fsim::DifferentialWorkload wl)
+fsim::Scenario
+withLossBurst(fsim::Scenario wl)
 {
     wl.faultPlan = "loss_burst@0-10:rate=0.25";
     wl.clientTimeoutSec = 0.1;
@@ -72,7 +72,9 @@ main(int argc, char **argv)
     // are consumed from its leftover-argument list.
     BenchArgs args = BenchArgs::parse(
         argc, argv, {"--nofaults", "--cores=", "--conns=", "--app="});
-    DifferentialWorkload wl;
+    Scenario wl;
+    wl.maxConns = 2000;
+    wl.maxSimSec = 20.0;
     std::string app = "both";
     bool faults = !args.extraFlag("--nofaults");
     if (args.seed != 0)

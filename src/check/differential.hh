@@ -19,74 +19,19 @@
 #ifndef FSIM_CHECK_DIFFERENTIAL_HH
 #define FSIM_CHECK_DIFFERENTIAL_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "check/invariants.hh"
-#include "harness/experiment.hh"
+#include "check/scenario.hh"
 
 namespace fsim
 {
 
-/** A bounded workload both kernels must serve to completion. */
-struct DifferentialWorkload
-{
-    AppKind app = AppKind::kNginx;
-    int cores = 4;
-    /** Total connections; bounded so both runs quiesce. */
-    std::uint64_t maxConns = 2000;
-    int concurrencyPerCore = 50;
-    int requestsPerConn = 1;
-    std::uint64_t seed = 1;
-    /** Hard sim-time cap; exceeding it is reported as a non-drain. */
-    double maxSimSec = 20.0;
-
-    /**
-     * Fault plan (parseFaultPlan text, empty = none). Wire-fault fates
-     * are pure content hashes, so both kernels see the identical fault
-     * pattern and the app-observable equality bar still applies. Pick a
-     * client RTO well above worst-case latency (default 20ms) so
-     * retransmission decisions cannot depend on kernel speed.
-     */
-    std::string faultPlan;
-    double clientTimeoutSec = 0.0;  //!< required > 0 with a fault plan
-    double clientRtoMsec = 0.0;     //!< client retx base RTO (0 = off)
-};
-
-/** What one kernel produced for the workload. */
-struct KernelTotals
-{
-    std::string kernel;              //!< "base-2.6.32" / "fastsocket"
-    bool drained = false;            //!< quiesced under the cap
-
-    /** @name Application-level observables (must match across kernels) */
-    /** @{ */
-    std::uint64_t started = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t responses = 0;
-    std::uint64_t bytesReceived = 0;
-    std::uint64_t served = 0;        //!< server-side response count
-    /** @} */
-
-    /** @name Performance observables (expected to differ) */
-    /** @{ */
-    Tick drainTick = 0;              //!< sim time at quiesce
-    std::uint64_t lockWaitTicks = 0; //!< spin-wait cycles, all classes
-    std::uint64_t busyTicks = 0;     //!< total core busy cycles
-    /** @} */
-
-    std::uint64_t fingerprint = 0;
-    InvariantReport invariants;
-};
-
 /** Result of one differential run. */
 struct DifferentialOutcome
 {
-    KernelTotals base;
-    KernelTotals fast;
+    RunTotals base;
+    RunTotals fast;
     /** App-level observables that differ ("completed: 2000 vs 1999"). */
     std::vector<std::string> mismatches;
     /** Perf moved in the paper's direction (only asserted >= 4 cores:
@@ -103,8 +48,13 @@ struct DifferentialOutcome
     std::string summary() const;
 };
 
-/** Run @p wl under both kernels and diff the outcomes. */
-DifferentialOutcome runDifferential(const DifferentialWorkload &wl);
+/**
+ * Run @p s (its kernel replaced) under base 2.6.32 and then under
+ * Fastsocket, each through runScenarioOnce(), and diff the outcomes.
+ * The app-level bar is meant for one machine, and for faults only where
+ * both kernels draw identical fates (see bench/diff_oracle.cc).
+ */
+DifferentialOutcome runDifferential(const Scenario &s);
 
 } // namespace fsim
 

@@ -26,88 +26,25 @@
 namespace fsim
 {
 
-/** One fuzzable experiment description (key=value serializable). */
+/** One fuzzable experiment description (key=value serializable; the
+ *  keys, their types and defaults are listed in scenario_keys.def). */
 struct Scenario
 {
-    std::uint64_t seed = 1;         //!< machine + load RNG seed
-    int cores = 4;
-    AppKind app = AppKind::kNginx;
-    /** Kernel preset: "base2632", "linux313", "fastsocket", or "custom"
-     *  (base 2.6.32 flavor + the feature bits below). */
-    std::string kernel = "fastsocket";
-    bool fastVfs = false;
-    bool localListen = false;
-    bool rfd = false;
-    bool localEstablished = false;
-
-    int concurrencyPerCore = 50;
-    int requestsPerConn = 1;
-    std::uint64_t maxConns = 1000;  //!< bounded so the run quiesces
-    double lossRate = 0.0;
-    double clientTimeoutSec = 0.0;  //!< required > 0 when lossRate > 0
-    std::size_t listenBacklog = 0;  //!< 0 = socket default
-    bool uma = false;               //!< UMA costs instead of calibrated
-    bool acceptMutex = false;
-    bool traceEnabled = true;
-    double maxSimSec = 30.0;        //!< drain cap
-
-    /** @name Connection-lifetime shape (TIME_WAIT / mixed-lifetime) */
-    /** @{ */
-    int longLivedPermille = 0;   //!< per-1000 launches parked long-lived
-    int longLivedRequests = 2;   //!< requests per long-lived connection
-    double longLivedThinkMsec = 0.0;
-    /** Tiny client source-port space: four-tuples repeat fast, so fresh
-     *  SYNs keep landing on lingering TIME_WAIT entries. Requires
-     *  clientRtoMsec > 0 (conservative TW drops the SYN; the retry is
-     *  what lets the run drain). */
-    int clientPortSpan = 0;
-    int clientIps = 0;           //!< client IP count (0 = default 256)
-    bool twReuse = false;        //!< tcp_tw_reuse analog
-    bool twRecycle = false;      //!< tcp_tw_recycle analog
-    /** Keep-alive backends (haproxy): the proxy actively closes every
-     *  backend connection, putting its ephemeral ports in TIME_WAIT. */
-    bool backendKeepAlive = false;
-    /** Shrink the ephemeral range to this many ports (0 = default),
-     *  for connect()-side port-exhaustion pressure. */
-    int ephemeralPorts = 0;
-    /** @} */
-
-    /** @name Fleet tier (0 machines = the single machine, a fleet of
-     *  one with no balancer tier). When fleetMachines > 0 the scenario
-     *  runs behind the tier: clients -> L4 balancer VIPs -> N server
-     *  machines over modeled links. Drain deadlines and crash/restart timing ride in the
-     *  fault plan through the fleet event kinds (machine_crash,
-     *  rolling_restart, lb_crash); those kinds require the tier. */
-    /** @{ */
-    int fleetMachines = 0;
-    int fleetBalancers = 1;
-    std::string fleetPolicy = "chash";  //!< "chash" | "rr" steering
-    /** Arm the SLO burn-rate tracker + per-window metrics sampling on
-     *  the fleet (requires fleetMachines > 0). SLO incidents fold into
-     *  the fingerprint, so the double-run also proves the whole
-     *  observability layer deterministic; the stitching invariant
-     *  (every ok request joins exactly one balancer flow and one
-     *  server span, no orphans/duplicates) is checked after drain
-     *  whenever tracing is on. */
-    bool sloMetrics = false;
-    /** @} */
-
-    /** Fault plan in parseFaultPlan() text form (empty = no faults).
-     *  A non-empty plan requires clientTimeoutSec > 0 so stuck
-     *  connections still drain. */
-    std::string faultPlan;
-    bool synCookies = false;        //!< server answers full SYN queues
-    std::size_t synBacklog = 0;     //!< SYN-queue cap (0 = kernel default)
-    double clientRtoMsec = 0.0;     //!< client retx base RTO (0 = off)
+#define SCENARIO_KEY(type, name, init) type name = init;
+#include "check/scenario_keys.def"
+#undef SCENARIO_KEY
 
     /** Materialize the harness config this scenario describes. */
     ExperimentConfig toConfig() const;
+
+    bool operator==(const Scenario &) const = default;
 };
 
 /** Draw a valid random scenario from @p rng. */
 Scenario randomScenario(Rng &rng);
 
-/** One-line-per-field "key = value" text form (reproducer files). */
+/** "key = value" text form (reproducer files): one line per key whose
+ *  value differs from Scenario{}. */
 std::string serializeScenario(const Scenario &s);
 
 /**
@@ -116,6 +53,41 @@ std::string serializeScenario(const Scenario &s);
  */
 bool parseScenario(const std::string &text, Scenario &out,
                    std::string &err);
+
+/** What one bounded run of a scenario produced. */
+struct RunTotals
+{
+    bool drained = false;            //!< quiesced under the sim-time cap
+
+    /** @name Application-level observables (summed over machines) */
+    /** @{ */
+    std::uint64_t started = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t timeouts = 0;
+    std::uint64_t responses = 0;
+    std::uint64_t bytesReceived = 0;
+    std::uint64_t served = 0;        //!< server-side response count
+    /** @} */
+
+    /** @name Performance observables */
+    /** @{ */
+    Tick drainTick = 0;              //!< sim time at quiesce
+    std::uint64_t lockWaitTicks = 0; //!< spin-wait cycles, all classes
+    std::uint64_t busyTicks = 0;     //!< total core busy cycles
+    /** @} */
+
+    std::uint64_t fingerprint = 0;
+    InvariantReport invariants;      //!< periodic + final + quiesce checks
+};
+
+/**
+ * Drive @p s once to quiescence (or its sim-time cap) with every
+ * invariant armed: periodic conservation passes, a final pass, quiesce
+ * leak checks where the run can leak-check, and trace stitching behind
+ * a balancer tier.
+ */
+RunTotals runScenarioOnce(const Scenario &s);
 
 /** Outcome of fuzzing one scenario. */
 struct ScenarioResult
@@ -130,10 +102,7 @@ struct ScenarioResult
     std::string summary() const;
 };
 
-/**
- * Run @p s twice with all invariants armed (periodic conservation plus
- * quiesce leak checks) and compare the two fingerprints.
- */
+/** Run @p s twice (runScenarioOnce) and compare the two fingerprints. */
 ScenarioResult runScenario(const Scenario &s);
 
 /**

@@ -206,6 +206,34 @@ TEST(Fleet, BalancerCrashFailsVipOverToPeer)
     }
 }
 
+TEST(Fleet, CrashedBalancerReportsItsDownDrops)
+{
+    // A crash blackholes the balancer's own VIP and NAT addresses, but
+    // a VIP it adopted from a crashed peer still lands on it. Crash
+    // balancer 0, let balancer 1 adopt VIP 0, then crash balancer 1:
+    // every VIP-0 packet balancer 1 swallows while down must reach the
+    // fleet block as down_drops.
+    FleetTestbed bed(smallFleet(KernelConfig::fastsocket()));
+    EventQueue &eq = bed.eventQueue();
+    bed.startLoad();
+    bed.runUntilChecked(ticksFromMsec(5));
+    bed.crashBalancer(0);
+    bed.runUntilChecked(eq.now() + ticksFromMsec(10));
+    ASSERT_EQ(bed.vipTakeovers(), 1u);
+    bed.crashBalancer(1);
+    bed.runUntilChecked(eq.now() + ticksFromMsec(5));
+    bed.restoreBalancer(0);
+    bed.restoreBalancer(1);
+    bed.runUntilChecked(eq.now() + ticksFromMsec(5));
+
+    ExperimentResult r = bed.collect();
+    std::uint64_t perBalancer = 0;
+    for (int b = 0; b < bed.balancerCount(); ++b)
+        perBalancer += bed.balancer(b).counters().downDrops;
+    EXPECT_GT(r.fleet.downDrops, 0u);
+    EXPECT_EQ(r.fleet.downDrops, perBalancer);
+}
+
 TEST(Fleet, DrainRefusesNewFlowsAndCompletesInFlight)
 {
     FleetTestbed bed(smallFleet(KernelConfig::fastsocket()));

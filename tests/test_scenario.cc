@@ -7,7 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "check/scenario.hh"
+
+#ifndef FSIM_CORPUS_DIR
+#error "build must define FSIM_CORPUS_DIR (see tests/CMakeLists.txt)"
+#endif
 
 namespace fsim
 {
@@ -38,13 +47,7 @@ TEST(Scenario, RandomScenariosAreValidByConstruction)
         std::string err;
         ASSERT_TRUE(parseScenario(serializeScenario(s), back, err))
             << err;
-        EXPECT_EQ(back.seed, s.seed);
-        EXPECT_EQ(back.cores, s.cores);
-        EXPECT_EQ(back.kernel, s.kernel);
-        EXPECT_EQ(back.maxConns, s.maxConns);
-        EXPECT_EQ(back.listenBacklog, s.listenBacklog);
-        EXPECT_EQ(back.uma, s.uma);
-        EXPECT_DOUBLE_EQ(back.lossRate, s.lossRate);
+        EXPECT_TRUE(back == s) << serializeScenario(s);
     }
 }
 
@@ -63,6 +66,87 @@ TEST(Scenario, GeneratorCoversTheSpace)
     }
     EXPECT_TRUE(sawHaproxy && sawLoss && sawBacklog && sawCustom &&
                 sawUma);
+}
+
+TEST(Scenario, EveryKeyRoundTripsThroughSerialization)
+{
+    // Every key off its default, in a combination parseScenario()
+    // accepts. A key added to scenario_keys.def without a value here
+    // fails the coverage check below.
+    Scenario s;
+    s.seed = 7;
+    s.cores = 3;
+    s.app = AppKind::kHaproxy;
+    s.kernel = "custom";
+    s.fastVfs = true;
+    s.localListen = true;
+    s.rfd = true;
+    s.localEstablished = true;
+    s.concurrencyPerCore = 9;
+    s.requestsPerConn = 2;
+    s.maxConns = 123;
+    s.lossRate = 0.0125;
+    s.clientTimeoutSec = 0.07;
+    s.listenBacklog = 32;
+    s.uma = true;
+    s.acceptMutex = true;
+    s.traceEnabled = false;
+    s.maxSimSec = 12.5;
+    s.longLivedPermille = 250;
+    s.longLivedRequests = 3;
+    s.longLivedThinkMsec = 1.25;
+    s.clientPortSpan = 16;
+    s.clientIps = 2;
+    s.twReuse = true;
+    s.twRecycle = true;
+    s.backendKeepAlive = true;
+    s.ephemeralPorts = 128;
+    s.fleetMachines = 2;
+    s.fleetBalancers = 2;
+    s.fleetPolicy = "rr";
+    s.sloMetrics = true;
+    s.faultPlan = "lb_crash@0.01-0.02:target=1";
+    s.synCookies = true;
+    s.synBacklog = 256;
+    s.clientRtoMsec = 5.5;
+
+    const Scenario defaults;
+    int keys = 0;
+#define SCENARIO_KEY(type, name, init) \
+    ++keys;                            \
+    EXPECT_TRUE(s.name != defaults.name) << #name " left at its default";
+#include "check/scenario_keys.def"
+#undef SCENARIO_KEY
+
+    const std::string text = serializeScenario(s);
+    Scenario back;
+    std::string err;
+    ASSERT_TRUE(parseScenario(text, back, err)) << err;
+    EXPECT_TRUE(back == s) << text;
+    // One header line, then one line per key.
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), keys + 1)
+        << text;
+}
+
+TEST(Scenario, CorpusRoundTripsThroughSerialization)
+{
+    int files = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(FSIM_CORPUS_DIR)) {
+        if (entry.path().extension() != ".scn")
+            continue;
+        ++files;
+        SCOPED_TRACE(entry.path().filename().string());
+        std::ifstream in(entry.path());
+        std::ostringstream text;
+        text << in.rdbuf();
+        Scenario s, back;
+        std::string err;
+        ASSERT_TRUE(parseScenario(text.str(), s, err)) << err;
+        ASSERT_TRUE(parseScenario(serializeScenario(s), back, err)) << err;
+        EXPECT_TRUE(back == s) << serializeScenario(s);
+    }
+    EXPECT_GT(files, 0);
 }
 
 TEST(Scenario, ParseIgnoresCommentsAndUnknownKeys)
